@@ -40,6 +40,22 @@ echo "phase guard is zero-sized with telemetry compiled out"
 # paying for a measurement run.
 run cargo bench --offline -q -p aqua-bench -- --test
 
+# Benchmark output gate: perfbench's own tests, then one short seed-42 run
+# of every perfbench workload. Each run checks every cell's report against
+# the one recorded in perfbench/expected/<workload>.tsv, so a change that
+# moves any simulated output byte fails here.
+run cargo test --offline --release --manifest-path perfbench/Cargo.toml
+for workload in spec-hot suite-quiet attack-flood; do
+    echo
+    echo "==> perfbench output gate: $workload"
+    result=$(bash perfbench/run.sh --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)
+    echo "$result"
+    if ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0' <<<"$result"; then
+        echo "ERROR: perfbench $workload outputs differ from perfbench/expected" >&2
+        exit 1
+    fi
+done
+
 # Parallel-runner determinism smoke test: one figure binary on a two-workload
 # subset, serial vs two workers, must emit byte-identical CSVs.
 smoke() {

@@ -2,16 +2,19 @@
 //! path: CAT/FPT lookup, bloom-filter check, FPT-Cache access, RQA slot
 //! allocation, the deterministic fast-hash map against std's SipHash map,
 //! Misra-Gries update, the speculative telemetry span on the quiet
-//! mitigation path, and the quarantine operation itself.
+//! mitigation path, the quarantine operation itself, and the simulator's
+//! activation oracle and shadow-memory check.
 
 use aqua::{
     AquaConfig, AquaEngine, CollisionAvoidanceTable, FptCache, MappedTables, QuarantineArea,
     ResettableBloomFilter, RqaSlot,
 };
 use aqua_dram::mitigation::Mitigation;
-use aqua_dram::{BaselineConfig, GlobalRowId, Time};
+use aqua_dram::{BaselineConfig, DramGeometry, GlobalRowId, RowAddr, Time};
+use aqua_sim::{ActivationOracle, ShadowMemory};
 use aqua_telemetry::Telemetry;
 use aqua_tracker::{AggressorTracker, MisraGriesTracker, TrackerConfig};
+use aqua_workload::AddressSpace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_cat(c: &mut Criterion) {
@@ -176,6 +179,57 @@ fn bench_translate(c: &mut Criterion) {
     });
 }
 
+/// The 4,096 rows a quiet Table II workload touches in one epoch on the
+/// paper's module: its cold region, consecutive rows of the address space
+/// interleaved over the banks.
+fn quiet_rows() -> (DramGeometry, Vec<(GlobalRowId, RowAddr)>) {
+    let g = DramGeometry::paper_table1();
+    let space = AddressSpace::new(g, 0.97);
+    let rows = (0..4096)
+        .map(|k| {
+            let id = space.nth(k);
+            (id, g.expand(id).unwrap())
+        })
+        .collect();
+    (g, rows)
+}
+
+fn bench_oracle(c: &mut Criterion) {
+    let (g, rows) = quiet_rows();
+    let mut oracle = ActivationOracle::new(&g, 1000);
+    let mut k = 0;
+    c.bench_function("oracle_record", |b| {
+        b.iter(|| {
+            k = (k + 1) % rows.len();
+            black_box(oracle.record(rows[k].1))
+        })
+    });
+    // Every row touched once, as at the end of a quiet epoch; later
+    // iterations roll over the same touched state.
+    let mut oracle = ActivationOracle::new(&g, 1000);
+    for &(_, row) in &rows {
+        oracle.record(row);
+    }
+    c.bench_function("oracle_end_epoch", |b| b.iter(|| oracle.end_epoch()));
+}
+
+fn bench_shadow(c: &mut Criterion) {
+    let (g, rows) = quiet_rows();
+    let mut shadow = ShadowMemory::new(&g);
+    // A vacated reserved area, as AQUA's RQA leaves it.
+    for id in (g.total_rows() - 4096)..g.total_rows() {
+        shadow.vacate(g.expand(GlobalRowId::new(id)).unwrap());
+    }
+    let mut k = 0;
+    c.bench_function("shadow_verify", |b| {
+        b.iter(|| {
+            k = (k + 1) % rows.len();
+            let (id, phys) = rows[k];
+            black_box(shadow.verify(id, phys))
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_cat,
@@ -186,6 +240,8 @@ criterion_group!(
     bench_fastmap,
     bench_tracker,
     bench_speculative_span,
-    bench_translate
+    bench_translate,
+    bench_oracle,
+    bench_shadow
 );
 criterion_main!(benches);

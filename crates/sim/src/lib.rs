@@ -53,7 +53,10 @@
 mod ablation;
 mod core_model;
 mod oracle;
+mod paged;
 pub mod pool;
+#[cfg(test)]
+mod reference;
 mod report;
 mod shadow;
 mod sharded;

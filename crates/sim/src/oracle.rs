@@ -1,5 +1,6 @@
 //! Ground-truth activation oracle (the security checker).
 
+use crate::paged::{Pages, PAGE_ROWS};
 use aqua_dram::{DramGeometry, RowAddr};
 use serde::{Deserialize, Serialize};
 
@@ -37,37 +38,80 @@ pub struct OracleSummary {
 /// `previous_epoch + current_epoch` upper-bounds the sliding-window
 /// activation count of a row; a row whose bound exceeds `T_RH` is reported
 /// as vulnerable.
+///
+/// Rows are counted in pages of [`PAGE_ROWS`] rows, allocated by the first
+/// activation that touches one (the row itself or a neighbour it disturbs).
+/// A page never touched reads as all zero, so construction and
+/// [`end_epoch`](Self::end_epoch) cost follows the touched rows, not the
+/// module size.
 #[derive(Debug)]
 pub struct ActivationOracle {
     t_rh: u64,
     rows_per_bank: u32,
-    curr: Vec<u32>,
-    prev: Vec<u32>,
-    flagged: Vec<bool>,
-    /// Disturbance on each row from its lower neighbour (`row - 1`) since
-    /// the row's last refresh.
-    dist_lo: Vec<u32>,
-    /// Disturbance from the upper neighbour (`row + 1`).
-    dist_hi: Vec<u32>,
-    flippable: Vec<bool>,
+    pages: Pages<OraclePage>,
     summary: OracleSummary,
     band_totals: [u64; 3],
+}
+
+/// The counters of one row, kept together so a row and its neighbours
+/// share cache lines.
+#[derive(Debug, Default, Clone, Copy)]
+struct RowCounts {
+    /// Activations in the current epoch.
+    curr: u32,
+    /// Activations in the previous epoch.
+    prev: u32,
+    /// Disturbance from the lower neighbour (`row - 1`) since the row's
+    /// last refresh.
+    dist_lo: u32,
+    /// Disturbance from the upper neighbour (`row + 1`).
+    dist_hi: u32,
+}
+
+/// Oracle state of [`PAGE_ROWS`] consecutive physical rows.
+#[derive(Debug)]
+struct OraclePage {
+    rows: [RowCounts; PAGE_ROWS],
+    /// Rows already counted in `rows_over_trh`.
+    flagged: [bool; PAGE_ROWS],
+    /// Rows already counted in `rows_flippable`.
+    flippable: [bool; PAGE_ROWS],
+}
+
+impl OraclePage {
+    fn new() -> Self {
+        OraclePage {
+            rows: [RowCounts::default(); PAGE_ROWS],
+            flagged: [false; PAGE_ROWS],
+            flippable: [false; PAGE_ROWS],
+        }
+    }
+
+    /// Adds one activation of an adjacent row to row `j`'s disturbance
+    /// from below (`from_below`) or above; returns 1 if that first made the
+    /// row flippable, else 0.
+    fn disturb(&mut self, j: usize, from_below: bool, t_rh: u64) -> u64 {
+        let r = &mut self.rows[j];
+        if from_below {
+            r.dist_lo += 1;
+        } else {
+            r.dist_hi += 1;
+        }
+        let newly =
+            !self.flippable[j] && (u64::from(r.dist_lo) > t_rh || u64::from(r.dist_hi) > t_rh);
+        self.flippable[j] |= newly;
+        u64::from(newly)
+    }
 }
 
 impl ActivationOracle {
     /// Creates the oracle for a module, flagging rows whose two-epoch count
     /// exceeds `t_rh`.
     pub fn new(geometry: &DramGeometry, t_rh: u64) -> Self {
-        let rows = geometry.total_rows() as usize;
         ActivationOracle {
             t_rh,
             rows_per_bank: geometry.rows_per_bank,
-            curr: vec![0; rows],
-            prev: vec![0; rows],
-            flagged: vec![false; rows],
-            dist_lo: vec![0; rows],
-            dist_hi: vec![0; rows],
-            flippable: vec![false; rows],
+            pages: Pages::new(geometry.total_rows(), |_| OraclePage::new()),
             summary: OracleSummary::default(),
             band_totals: [0; 3],
         }
@@ -81,21 +125,7 @@ impl ActivationOracle {
     /// this activation first pushed the row's two-epoch window count over
     /// `T_RH` (used to trace `ThresholdCrossed` events).
     pub fn record(&mut self, row: RowAddr) -> bool {
-        let i = self.index(row);
-        self.curr[i] += 1;
-        self.summary.total_activations += 1;
-        let window = self.curr[i] as u64 + self.prev[i] as u64;
-        if window > self.summary.max_window_activations {
-            self.summary.max_window_activations = window;
-        }
-        let mut crossed = false;
-        if window > self.t_rh && !self.flagged[i] {
-            self.flagged[i] = true;
-            self.summary.rows_over_trh += 1;
-            crossed = true;
-        }
-        self.disturb_neighbours(row, i);
-        crossed
+        self.activate(row, false)
     }
 
     /// Records a mitigative refresh of `row`: the refresh is itself a row
@@ -103,77 +133,110 @@ impl ActivationOracle {
     /// mechanism) but it *restores* the row's own charge, resetting the
     /// disturbance accumulated on it.
     pub fn record_refresh(&mut self, row: RowAddr) {
+        self.activate(row, true);
+    }
+
+    /// One activation of `row`, a normal one or a `refresh`. The row and
+    /// its in-bank neighbours are updated through one page lookup unless a
+    /// neighbour lies across a page edge.
+    fn activate(&mut self, row: RowAddr, refresh: bool) -> bool {
         let i = self.index(row);
-        self.curr[i] += 1;
-        self.summary.total_activations += 1;
-        self.dist_lo[i] = 0;
-        self.dist_hi[i] = 0;
-        self.disturb_neighbours(row, i);
+        let (p, j) = (i / PAGE_ROWS, i % PAGE_ROWS);
+        let below = row.row > 0;
+        let above = row.row + 1 < self.rows_per_bank;
+        let t_rh = self.t_rh;
+        let s = &mut self.summary;
+        let page = self.pages.get_mut(p);
+        let r = &mut page.rows[j];
+        r.curr += 1;
+        s.total_activations += 1;
+        let mut crossed = false;
+        if refresh {
+            r.dist_lo = 0;
+            r.dist_hi = 0;
+        } else {
+            let window = u64::from(r.curr) + u64::from(r.prev);
+            s.max_window_activations = s.max_window_activations.max(window);
+            crossed = window > t_rh && !page.flagged[j];
+            page.flagged[j] |= crossed;
+            s.rows_over_trh += u64::from(crossed);
+        }
+        // `row` is the upper neighbour of `row - 1` and the lower
+        // neighbour of `row + 1`.
+        if below && j > 0 {
+            s.rows_flippable += page.disturb(j - 1, false, t_rh);
+        }
+        if above && j + 1 < PAGE_ROWS {
+            s.rows_flippable += page.disturb(j + 1, true, t_rh);
+        }
+        if below && j == 0 {
+            s.rows_flippable += self
+                .pages
+                .get_mut(p - 1)
+                .disturb(PAGE_ROWS - 1, false, t_rh);
+        }
+        if above && j + 1 == PAGE_ROWS {
+            s.rows_flippable += self.pages.get_mut(p + 1).disturb(0, true, t_rh);
+        }
+        crossed
     }
 
-    fn disturb_neighbours(&mut self, row: RowAddr, i: usize) {
-        if row.row > 0 {
-            // `row` is the upper neighbour of `row - 1`.
-            let below = i - 1;
-            self.dist_hi[below] += 1;
-            self.check_flippable(below);
-        }
-        if row.row + 1 < self.rows_per_bank {
-            let above = i + 1;
-            self.dist_lo[above] += 1;
-            self.check_flippable(above);
-        }
-    }
-
-    fn check_flippable(&mut self, i: usize) {
-        if !self.flippable[i]
-            && (self.dist_lo[i] as u64 > self.t_rh || self.dist_hi[i] as u64 > self.t_rh)
-        {
-            self.flippable[i] = true;
-            self.summary.rows_flippable += 1;
-        }
+    /// The counters of `row` (all zero on a page never touched).
+    fn counts(&self, row: RowAddr) -> RowCounts {
+        let i = self.index(row);
+        self.pages
+            .get(i / PAGE_ROWS)
+            .map_or_else(RowCounts::default, |page| page.rows[i % PAGE_ROWS])
     }
 
     /// Current-epoch activation count of `row`.
     pub fn epoch_count(&self, row: RowAddr) -> u64 {
-        self.curr[self.index(row)] as u64
+        u64::from(self.counts(row).curr)
     }
 
     /// Two-epoch window bound for `row`.
     pub fn window_count(&self, row: RowAddr) -> u64 {
-        let i = self.index(row);
-        self.curr[i] as u64 + self.prev[i] as u64
+        let r = self.counts(row);
+        u64::from(r.curr) + u64::from(r.prev)
     }
 
     /// Whether a bit flip became possible in `row` at any point in the run
     /// (a single neighbour exceeded `T_RH` activations since `row`'s last
     /// refresh).
     pub fn is_flippable(&self, row: RowAddr) -> bool {
-        self.flippable[self.index(row)]
+        let i = self.index(row);
+        self.pages
+            .get(i / PAGE_ROWS)
+            .is_some_and(|page| page.flippable[i % PAGE_ROWS])
     }
 
     /// Rolls over to the next epoch, folding the band histogram
     /// (Table II's 166+/500+/1000+ columns) into the running averages.
+    /// Only allocated pages are walked: every other row has zero counts.
     pub fn end_epoch(&mut self) {
-        for &c in &self.curr {
-            let c = c as u64;
-            if c >= 166 {
-                self.band_totals[0] += 1;
-                if c >= 500 {
-                    self.band_totals[1] += 1;
-                    if c >= 1000 {
-                        self.band_totals[2] += 1;
+        let bands = &mut self.band_totals;
+        self.pages.for_each_mut(|page| {
+            for r in &mut page.rows {
+                let c = u64::from(r.curr);
+                if c >= 166 {
+                    bands[0] += 1;
+                    if c >= 500 {
+                        bands[1] += 1;
+                        if c >= 1000 {
+                            bands[2] += 1;
+                        }
                     }
                 }
+                // Every row receives its periodic refresh once per window,
+                // which restores its charge; disturbance does not carry
+                // across epochs.
+                *r = RowCounts {
+                    prev: r.curr,
+                    ..RowCounts::default()
+                };
             }
-        }
+        });
         self.summary.epochs += 1;
-        std::mem::swap(&mut self.prev, &mut self.curr);
-        self.curr.fill(0);
-        // Every row receives its periodic refresh once per window, which
-        // restores its charge; disturbance does not carry across epochs.
-        self.dist_lo.fill(0);
-        self.dist_hi.fill(0);
     }
 
     /// The oracle's summary (per-epoch band counts averaged over epochs).
@@ -184,6 +247,18 @@ impl ActivationOracle {
         s.avg_rows_500 = self.band_totals[1] / epochs;
         s.avg_rows_1000 = self.band_totals[2] / epochs;
         s
+    }
+
+    /// Pages allocated so far, out of [`Self::page_capacity`].
+    #[cfg(test)]
+    pub(crate) fn allocated_pages(&self) -> usize {
+        self.pages.allocated()
+    }
+
+    /// Pages covering the whole module.
+    #[cfg(test)]
+    pub(crate) fn page_capacity(&self) -> usize {
+        self.pages.capacity()
     }
 }
 

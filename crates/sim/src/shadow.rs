@@ -14,6 +14,7 @@
 //! violations, never panics, so a fault campaign can keep simulating and
 //! report the damage at the end of the run.
 
+use crate::paged::{Pages, PAGE_ROWS};
 use aqua_dram::mitigation::DataMovement;
 use aqua_dram::{DramGeometry, GlobalRowId, RowAddr};
 
@@ -25,12 +26,22 @@ use aqua_dram::{DramGeometry, GlobalRowId, RowAddr};
 const VACANT: u32 = u32::MAX;
 
 /// Tracks data placement across migrations and verifies translations.
+///
+/// Placement is kept in pages of [`PAGE_ROWS`] physical rows. A page that
+/// no vacancy or movement ever wrote holds identity placement, so it is
+/// not stored at all and verifying an access to it is one comparison.
 #[derive(Debug)]
 pub struct ShadowMemory {
     rows_per_bank: u32,
-    /// `contents[phys]` = logical row id stored there (or `VACANT`).
-    contents: Vec<u32>,
+    rows: u64,
+    /// Logical row id stored in each physical row (or `VACANT`).
+    pages: Pages<[u32; PAGE_ROWS]>,
     violations: u64,
+}
+
+/// Identity placement of page `p`: each row holds its own data.
+fn identity_page(p: usize) -> [u32; PAGE_ROWS] {
+    std::array::from_fn(|j| (p * PAGE_ROWS + j) as u32)
 }
 
 impl ShadowMemory {
@@ -49,7 +60,8 @@ impl ShadowMemory {
         );
         ShadowMemory {
             rows_per_bank: geometry.rows_per_bank,
-            contents: (0..rows as u32).collect(),
+            rows,
+            pages: Pages::new(rows, identity_page),
             violations: 0,
         }
     }
@@ -61,14 +73,26 @@ impl ShadowMemory {
             return None;
         }
         let i = row.bank.index() as usize * self.rows_per_bank as usize + row.row as usize;
-        (i < self.contents.len()).then_some(i)
+        ((i as u64) < self.rows).then_some(i)
+    }
+
+    /// The logical row id stored at flat index `i`.
+    fn contents(&self, i: usize) -> u32 {
+        self.pages
+            .get(i / PAGE_ROWS)
+            .map_or(i as u32, |page| page[i % PAGE_ROWS])
+    }
+
+    /// Stores logical row id `c` at flat index `i`.
+    fn set(&mut self, i: usize, c: u32) {
+        self.pages.get_mut(i / PAGE_ROWS)[i % PAGE_ROWS] = c;
     }
 
     /// Marks `row` as holding no data (reserved regions like AQUA's RQA).
     /// An out-of-geometry address is counted as a violation.
     pub fn vacate(&mut self, row: RowAddr) {
         match self.index(row) {
-            Some(i) => self.contents[i] = VACANT,
+            Some(i) => self.set(i, VACANT),
             None => self.violations += 1,
         }
     }
@@ -81,7 +105,7 @@ impl ShadowMemory {
     /// The logical row whose data occupies `phys`, if any (`None` for vacant
     /// or out-of-geometry addresses).
     pub fn occupant(&self, phys: RowAddr) -> Option<GlobalRowId> {
-        let c = self.contents[self.index(phys)?];
+        let c = self.contents(self.index(phys)?);
         (c != VACANT).then(|| GlobalRowId::new(c as u64))
     }
 
@@ -95,20 +119,22 @@ impl ShadowMemory {
                     self.violations += 1;
                     return;
                 };
-                if self.contents[ti] != VACANT {
+                if self.contents(ti) != VACANT {
                     // Overwriting live data is a bug in the scheme's
                     // sequencing (e.g. installing before evicting).
                     self.violations += 1;
                 }
-                self.contents[ti] = self.contents[fi];
-                self.contents[fi] = VACANT;
+                self.set(ti, self.contents(fi));
+                self.set(fi, VACANT);
             }
             DataMovement::Swap { a, b } => {
                 let (Some(ai), Some(bi)) = (self.index(a), self.index(b)) else {
                     self.violations += 1;
                     return;
                 };
-                self.contents.swap(ai, bi);
+                let (ca, cb) = (self.contents(ai), self.contents(bi));
+                self.set(ai, cb);
+                self.set(bi, ca);
             }
         }
     }
@@ -117,7 +143,7 @@ impl ShadowMemory {
     /// (non-mutating: used by the fault driver's end-of-run audit).
     pub fn check(&self, row: GlobalRowId, phys: RowAddr) -> bool {
         self.index(phys)
-            .is_some_and(|i| u64::from(self.contents[i]) == row.index())
+            .is_some_and(|i| u64::from(self.contents(i)) == row.index())
     }
 
     /// Verifies that accessing `phys` returns the data of logical `row`,
@@ -128,6 +154,12 @@ impl ShadowMemory {
             self.violations += 1;
         }
         ok
+    }
+
+    /// Pages allocated so far (each written by a vacancy or movement).
+    #[cfg(test)]
+    pub(crate) fn allocated_pages(&self) -> usize {
+        self.pages.allocated()
     }
 }
 

@@ -932,6 +932,23 @@ mod tests {
     }
 
     #[test]
+    fn construction_allocates_only_the_reserved_rows_pages() {
+        use crate::paged::PAGE_ROWS;
+        let paper = BaselineConfig::paper_table1();
+        let engine = AquaEngine::new(AquaConfig::for_rowhammer_threshold(1000, &paper)).unwrap();
+        let reserved_pages: BTreeSet<u64> = engine
+            .reserved_rows()
+            .into_iter()
+            .map(|r| paper.geometry.flatten(r).unwrap().index() / PAGE_ROWS as u64)
+            .collect();
+        let space = AddressSpace::new(paper.geometry, 0.97);
+        let gen = Box::new(Hammer::double_sided(&space, 0, 100)) as Box<dyn RequestGenerator>;
+        let sim = Simulation::new(SimConfig::new(paper), engine, [gen]);
+        assert_eq!(sim.oracle.allocated_pages(), 0);
+        assert_eq!(sim.shadow.allocated_pages(), reserved_pages.len());
+    }
+
+    #[test]
     fn aqua_stops_double_sided_attack() {
         let gen = Box::new(Hammer::double_sided(&space(), 0, 100)) as Box<dyn RequestGenerator>;
         let mut sim = Simulation::new(sim_config(1000), aqua_engine(1000), [gen]);
