@@ -25,15 +25,23 @@ run cargo test --offline --workspace -q
 run cargo clippy --offline --workspace --all-targets --no-default-features -- -D warnings
 run cargo test --offline --workspace -q --no-default-features
 
-# Wallclock zero-cost smoke: with telemetry compiled out, the phase guard
-# must be a ZST (no Instant read, no Drop) — assert the dedicated test ran
-# and passed rather than silently matching nothing.
-echo
-echo "==> wallclock zero-cost smoke (feature off: PhaseGuard is a ZST)"
-zero_cost_out=$(cargo test --offline -q -p aqua-telemetry --no-default-features \
-    feature_off_phase_guard_is_zero_sized 2>&1)
-grep -q "1 passed" <<<"$zero_cost_out"
-echo "phase guard is zero-sized with telemetry compiled out"
+# Zero-cost smoke: with telemetry compiled out, the phase guard must be a
+# ZST (no Instant read, no Drop), and so must the serve path's leaf-span
+# batch and speculation token — assert each dedicated test ran and passed
+# rather than silently matching nothing.
+for zero_cost_test in feature_off_phase_guard_is_zero_sized \
+    feature_off_span_batch_and_speculation_are_zero_sized; do
+    echo
+    echo "==> zero-cost smoke (feature off): $zero_cost_test"
+    zero_cost_out=$(cargo test --offline -q -p aqua-telemetry --no-default-features \
+        "$zero_cost_test" 2>&1)
+    if ! grep -q "1 passed" <<<"$zero_cost_out"; then
+        echo "ERROR: $zero_cost_test did not run and pass" >&2
+        echo "$zero_cost_out" >&2
+        exit 1
+    fi
+done
+echo "phase guard, span batch and speculation token are zero-sized with telemetry compiled out"
 
 # Criterion benches in check mode: every bench body must still execute
 # (one iteration, no timing) so `cargo bench` stays runnable without

@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the hot structures on AQUA's critical
 //! path: CAT/FPT lookup, bloom-filter check, FPT-Cache access, RQA slot
 //! allocation, the deterministic fast-hash map against std's SipHash map,
-//! Misra-Gries update, the speculative telemetry span on the quiet
-//! mitigation path, the quarantine operation itself, and the simulator's
-//! activation oracle and shadow-memory check.
+//! Misra-Gries update, the telemetry spans the serve path records (the
+//! speculative root on the quiet mitigation path and the per-access leaf
+//! spans), the quarantine operation itself, and the simulator's activation
+//! oracle and shadow-memory check.
 
 use aqua::{
     AquaConfig, AquaEngine, CollisionAvoidanceTable, FptCache, MappedTables, QuarantineArea,
@@ -12,7 +13,7 @@ use aqua::{
 use aqua_dram::mitigation::Mitigation;
 use aqua_dram::{BaselineConfig, DramGeometry, GlobalRowId, RowAddr, Time};
 use aqua_sim::{ActivationOracle, ShadowMemory};
-use aqua_telemetry::Telemetry;
+use aqua_telemetry::{SpanBatch, Telemetry};
 use aqua_tracker::{AggressorTracker, MisraGriesTracker, TrackerConfig};
 use aqua_workload::AddressSpace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -133,20 +134,25 @@ fn bench_tracker(c: &mut Criterion) {
     });
 }
 
-/// The span cost the simulator pays per mitigation consultation. The quiet
-/// path (speculate + end_if_used with no child attached — the overwhelmingly
-/// common case) must stay within a few atomic ops; the eager variant is the
-/// lock-taking cost it replaced, kept as the reference point. With the
-/// telemetry feature off both compile to nothing and the numbers just
-/// measure the timer loop.
-fn bench_speculative_span(c: &mut Criterion) {
+/// The span costs the simulator pays per access. Each mitigation
+/// consultation arms a speculative root; its quiet path (speculate +
+/// end_if_used with no child attached, the overwhelmingly common case) is
+/// relaxed loads and stores only, with no lock and no read-modify-write.
+/// The eager variant is the lock-taking cost it replaced, kept as the
+/// reference point. Queued requests and blocked banks record leaf spans:
+/// `span_record_leaf` is the one-lock direct path, `span_batch_leaf` the
+/// lock-free batch the simulator uses, timed as four leaves and one flush
+/// per iteration (the migration flood's ratio of leaf spans to
+/// activations). With the telemetry feature off all of them compile to
+/// nothing and the numbers just measure the timer loop.
+fn bench_span_costs(c: &mut Criterion) {
     let hub = Telemetry::new(Default::default());
     let mut t = 0u64;
     c.bench_function("span_speculate_quiet", |b| {
         b.iter(|| {
             t += 50;
             let sp = hub.span_speculate("bench.quiet", t);
-            sp.end_if_used(black_box(t + 10));
+            sp.end_if_used(&hub, black_box(t + 10));
         })
     });
     c.bench_function("span_eager_quiet", |b| {
@@ -161,7 +167,23 @@ fn bench_speculative_span(c: &mut Criterion) {
         b.iter(|| {
             t += 50;
             let sp = off.span_speculate("bench.off", t);
-            sp.end_if_used(black_box(t + 10));
+            sp.end_if_used(&off, black_box(t + 10));
+        })
+    });
+    c.bench_function("span_record_leaf", |b| {
+        b.iter(|| {
+            t += 50;
+            hub.span_record("bench.leaf", t, black_box(t + 10));
+        })
+    });
+    let mut batch = SpanBatch::default();
+    c.bench_function("span_batch_leaf", |b| {
+        b.iter(|| {
+            for _ in 0..4 {
+                t += 50;
+                batch.record("bench.leaf", t, black_box(t + 10));
+            }
+            hub.flush_spans(&mut batch);
         })
     });
 }
@@ -239,7 +261,7 @@ criterion_group!(
     bench_rqa,
     bench_fastmap,
     bench_tracker,
-    bench_speculative_span,
+    bench_span_costs,
     bench_translate,
     bench_oracle,
     bench_shadow

@@ -174,6 +174,12 @@ pub trait Mitigation: Send {
     fn name(&self) -> &'static str;
 
     /// Translates an OS-visible row id to the physical row to access.
+    ///
+    /// Called once per request. It may count and record events, but must
+    /// not record telemetry spans: the simulator batches the serve path's
+    /// leaf spans and commits them only before the calls that may record
+    /// spans (activation, refresh tick, fault injection, epoch end), so a
+    /// span recorded here would take an id ahead of pending leaves.
     fn translate(&mut self, row: GlobalRowId, now: Time) -> Translation;
 
     /// Notifies the scheme that `phys` was activated at `now`, appending the

@@ -419,6 +419,19 @@ mod tests {
         let (report, hub) = run(2);
         let summary = hub.summary().unwrap();
         assert_eq!(summary.counter("sim.requests"), Some(report.requests_done));
+        assert_eq!(
+            summary.counter("sim.activations"),
+            Some(report.oracle.total_activations)
+        );
+        // Every committed span of every shard, batched leaves included, is
+        // counted in exactly one per-name duration histogram.
+        let span_stats: u64 = summary
+            .histograms
+            .iter()
+            .filter(|(name, _)| name.starts_with("span."))
+            .map(|(_, h)| h.count)
+            .sum();
+        assert_eq!(span_stats, summary.spans_recorded);
         let wall = summary.wallclock.expect("sharded run profiles wallclock");
         // One root: the coordinator. Shard run phases nest under it.
         assert_eq!(

@@ -13,7 +13,7 @@ use aqua_faults::{
 };
 use aqua_telemetry::{
     AlertEngine, AlertNotice, Counter, EpochRecord, EventKind, Histogram, HistogramData,
-    MetricsPlane, SnapshotTracker, Telemetry,
+    MetricsPlane, SnapshotTracker, SpanBatch, Telemetry,
 };
 use aqua_workload::RequestGenerator;
 use std::collections::BTreeSet;
@@ -132,6 +132,16 @@ pub struct Simulation<M: Mitigation> {
     access_local: HistogramData,
     migration_local: HistogramData,
     lookup_local: HistogramData,
+    /// The serve path's `sim.queue_wait` and `sim.bank_block` leaf spans,
+    /// recorded without a lock while a hub is attached. Flushed before
+    /// every engine call that can record a span (so span ids, parents and
+    /// ring order match direct recording) and, with its per-name stats, in
+    /// [`Self::flush_histograms`].
+    leaf_spans: SpanBatch,
+    /// Local tallies of `sim.activations` and `sim.requests`, added to the
+    /// shared counters in [`Self::flush_histograms`].
+    activations_local: u64,
+    requests_local: u64,
     /// Reusable buffer for mitigation actions: the per-access and
     /// refresh-tick paths borrow it via `mem::take`, so consultations that
     /// return nothing (the overwhelmingly common case) never allocate.
@@ -220,6 +230,9 @@ impl<M: Mitigation> Simulation<M> {
             access_local: HistogramData::new(),
             migration_local: HistogramData::new(),
             lookup_local: HistogramData::new(),
+            leaf_spans: SpanBatch::default(),
+            activations_local: 0,
+            requests_local: 0,
             action_scratch: Vec::new(),
             activations: detached.counter("sim.activations"),
             requests: detached.counter("sim.requests"),
@@ -375,22 +388,24 @@ impl<M: Mitigation> Simulation<M> {
     /// so the engine's decision spans and the per-action migration spans
     /// nest under one causal record. The root is *speculative*: on the
     /// overwhelmingly common quiet path (no actions, no engine spans) it is
-    /// discarded without ever touching the span lock, and it materializes —
+    /// discarded with a few relaxed loads and stores, and it materializes —
     /// with correct id ordering and nesting — only when a child span
-    /// actually attaches.
+    /// actually attaches. The pending leaf spans commit first, since the
+    /// engine's spans take ids after them.
     fn consult_mitigation(&mut self, phys: aqua_dram::RowAddr, at: Time, completion: Time) -> Time {
+        self.telemetry.flush_spans(&mut self.leaf_spans);
         let sp = self.telemetry.span_speculate("sim.mitigation", at.as_ps());
         let mut actions = std::mem::take(&mut self.action_scratch);
         self.notify_activation_into(phys, at, &mut actions);
         if actions.is_empty() {
-            sp.end_if_used(at.as_ps());
+            sp.end_if_used(&self.telemetry, at.as_ps());
             self.action_scratch = actions;
             return completion;
         }
         let completion = self.apply_actions(&mut actions, at, completion);
         self.action_scratch = actions;
         let busy_until = self.channel.blocked_until().max(completion).max(at);
-        sp.end(busy_until.as_ps());
+        sp.end(&self.telemetry, busy_until.as_ps());
         completion
     }
 
@@ -399,6 +414,7 @@ impl<M: Mitigation> Simulation<M> {
     /// everything else is offered to the scheme, and any corrupted rows it
     /// reports are admitted to the watch list for end-of-run accounting.
     fn apply_fault(&mut self, ev: FaultEvent, now: Time) {
+        self.telemetry.flush_spans(&mut self.leaf_spans);
         self.freport.injected += 1;
         self.faults_injected.inc();
         self.telemetry.record(
@@ -448,7 +464,7 @@ impl<M: Mitigation> Simulation<M> {
     /// Records an activation with the oracle and trace (the oracle reports
     /// first-time threshold crossings, which become trace events).
     fn record_activation(&mut self, phys: aqua_dram::RowAddr, at: Time) {
-        self.activations.inc();
+        self.activations_local += 1;
         self.telemetry.record(
             at.as_ps(),
             EventKind::Activate {
@@ -475,19 +491,19 @@ impl<M: Mitigation> Simulation<M> {
 
     /// Records a `sim.bank_block` span when a bank access had to wait for an
     /// exclusive migration to release the channel.
-    fn note_bank_block(&self, t: Time, blocked: Time) {
-        if blocked > t {
-            self.telemetry
-                .span_record("sim.bank_block", t.as_ps(), blocked.as_ps());
+    fn note_bank_block(&mut self, t: Time, blocked: Time) {
+        if blocked > t && self.telemetry.is_enabled() {
+            self.leaf_spans
+                .record("sim.bank_block", t.as_ps(), blocked.as_ps());
         }
     }
 
     /// Records a `sim.queue_wait` span when ready data had to queue behind
     /// other bus traffic before its burst slot.
-    fn note_queue_wait(&self, ready: Time, slot: Time) {
-        if slot > ready {
-            self.telemetry
-                .span_record("sim.queue_wait", ready.as_ps(), slot.as_ps());
+    fn note_queue_wait(&mut self, ready: Time, slot: Time) {
+        if slot > ready && self.telemetry.is_enabled() {
+            self.leaf_spans
+                .record("sim.queue_wait", ready.as_ps(), slot.as_ps());
         }
     }
 
@@ -557,14 +573,19 @@ impl<M: Mitigation> Simulation<M> {
         }
         self.access_local
             .record(completion.saturating_since(t0).as_ps());
-        self.requests.inc();
+        self.requests_local += 1;
         self.cores[ci].commit(t0, completion);
     }
 
-    /// Merges the serve path's locally batched histogram samples into the
+    /// Merges the serve path's locally batched histogram samples, leaf
+    /// spans (with their duration stats) and counter tallies into the
     /// shared telemetry handles. Called at epoch boundaries and end of run,
     /// so the per-sample path never takes a lock.
     fn flush_histograms(&mut self) {
+        self.telemetry.flush_span_stats(&mut self.leaf_spans);
+        self.activations
+            .add(std::mem::take(&mut self.activations_local));
+        self.requests.add(std::mem::take(&mut self.requests_local));
         self.access_hist.merge(&self.access_local);
         self.migration_hist.merge(&self.migration_local);
         self.lookup_hist.merge(&self.lookup_local);
@@ -766,6 +787,7 @@ impl<M: Mitigation> Simulation<M> {
                 // The phase opens only when at least one tick is due, so an
                 // idle check costs no clock read.
                 let _drain = self.telemetry.phase("sim.refresh_drain");
+                self.telemetry.flush_spans(&mut self.leaf_spans);
                 while t >= next_tick {
                     // Background work (lazy RQA drain, pending unswaps) gets
                     // its own root span, separate from demand-path
@@ -778,10 +800,13 @@ impl<M: Mitigation> Simulation<M> {
                     self.mitigation
                         .on_refresh_tick_into(next_tick, &mut actions);
                     if actions.is_empty() {
-                        sp.end_if_used(next_tick.as_ps());
+                        sp.end_if_used(&self.telemetry, next_tick.as_ps());
                     } else {
                         self.apply_actions(&mut actions, next_tick, next_tick);
-                        sp.end(self.channel.blocked_until().max(next_tick).as_ps());
+                        sp.end(
+                            &self.telemetry,
+                            self.channel.blocked_until().max(next_tick).as_ps(),
+                        );
                     }
                     self.action_scratch = actions;
                     next_tick += t_refi;
@@ -1198,6 +1223,20 @@ mod tests {
         let summary = report.telemetry.unwrap();
         assert!(summary.histogram("span.sim.mitigation").is_some());
         assert!(summary.spans_recorded > 0);
+        // Every committed span, batched leaves included, is counted in
+        // exactly one per-name duration histogram.
+        let span_stats: u64 = summary
+            .histograms
+            .iter()
+            .filter(|(name, _)| name.starts_with("span."))
+            .map(|(_, h)| h.count)
+            .sum();
+        assert_eq!(span_stats, summary.spans_recorded);
+        assert_eq!(summary.counter("sim.requests"), Some(report.requests_done));
+        assert_eq!(
+            summary.counter("sim.activations"),
+            Some(report.oracle.total_activations)
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! With the `enabled` cargo feature the handles feed shared atomics, the
 //! bounded ring trace, histograms, and the epoch series. With the feature
 //! off, [`Telemetry`] is a zero-sized type: [`Counter`] / [`Gauge`] degrade
-//! to plain local cells (a bare `u64` increment on the hot path) and every
-//! trace/histogram/epoch call compiles to nothing.
+//! to per-handle `Cell`s (a bare `u64` increment on the hot path) and every
+//! trace/histogram/span/epoch call compiles to nothing.
 
 use crate::epoch::{EpochRecord, EpochSeries};
 use crate::event::EventKind;
@@ -63,10 +63,10 @@ struct Inner {
     epochs: Mutex<EpochSeries>,
     spans: Mutex<SpanTrack>,
     wall: Mutex<WallTrack>,
-    /// Token of the armed speculative span (0 = none). One slot per hub:
-    /// arming is three relaxed atomic ops, so the quiet path of a
-    /// speculative root costs no lock at all (see
-    /// [`Telemetry::span_speculate`]).
+    /// Token of the armed speculative span (0 = none). One slot per hub,
+    /// owned by the one serial loop that arms it, so arming and the quiet
+    /// close are relaxed loads and stores only: no lock, no
+    /// read-modify-write (see [`Telemetry::span_speculate`]).
     spec_token: AtomicU64,
     /// Open-span id of the armed speculative span once a child span
     /// materialized it (0 = still unmaterialized).
@@ -87,17 +87,7 @@ impl Inner {
         {
             return;
         }
-        let id = sp.next_id;
-        sp.next_id += 1;
-        let parent = sp.stack.last().map(|o| o.id);
-        if let Some(top) = sp.stack.last_mut() {
-            top.used = true;
-        }
-        sp.stack.push(OpenSpan {
-            id,
-            parent,
-            used: false,
-        });
+        let id = sp.open_child();
         self.spec_id.store(id, Ordering::Relaxed);
     }
 }
@@ -190,11 +180,84 @@ impl SpanTrack {
         }
     }
 
+    /// Takes the next span id for a span nesting under the innermost open
+    /// span, and marks that span used. Returns the id and the parent.
+    fn next_child(&mut self) -> (u64, Option<u64>) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let parent = self.stack.last_mut().map(|top| {
+            top.used = true;
+            top.id
+        });
+        (id, parent)
+    }
+
+    /// Commits one finished leaf span without touching the per-name stats:
+    /// takes the next id, nests under (and marks used) the innermost open
+    /// span, and pushes the span into the ring. The caller materializes an
+    /// armed speculative span first. Returns the duration for the caller's
+    /// stats.
+    fn push_leaf(&mut self, name: &'static str, start_ps: u64, end_ps: u64) -> u64 {
+        let (id, parent) = self.next_child();
+        let span = Span {
+            id,
+            parent,
+            name,
+            start_ps,
+            end_ps: end_ps.max(start_ps),
+        };
+        self.ring.push(span);
+        span.duration_ps()
+    }
+
+    /// [`SpanTrack::next_child`], pushed as the innermost open span.
+    fn open_child(&mut self) -> u64 {
+        let (id, parent) = self.next_child();
+        self.stack.push(OpenSpan {
+            id,
+            parent,
+            used: false,
+        });
+        id
+    }
+
     /// Removes the innermost open entry with `id` (spans normally close
     /// LIFO; searching from the top tolerates out-of-order ends).
     fn remove_open(&mut self, id: u64) -> Option<OpenSpan> {
         let idx = self.stack.iter().rposition(|o| o.id == id)?;
         Some(self.stack.remove(idx))
+    }
+
+    /// Closes the open span `id` and commits it ending at `end_ps` (clamped
+    /// to `start_ps`), recording its duration under `name`. Nothing is
+    /// committed if `id` is no longer open, or if `require_used` is set and
+    /// no child attached.
+    fn close(
+        &mut self,
+        id: u64,
+        name: &'static str,
+        start_ps: u64,
+        end_ps: u64,
+        require_used: bool,
+    ) {
+        let Some(open) = self.remove_open(id) else {
+            return;
+        };
+        if require_used && !open.used {
+            return;
+        }
+        let span = Span {
+            id,
+            parent: open.parent,
+            name,
+            start_ps,
+            end_ps: end_ps.max(start_ps),
+        };
+        self.stats
+            .entry(name)
+            .or_default()
+            .record(span.duration_ps());
+        self.ring.push(span);
     }
 }
 
@@ -418,17 +481,7 @@ impl Telemetry {
         };
         let mut sp = i.spans.lock().unwrap();
         i.materialize_speculative(&mut sp);
-        let id = sp.next_id;
-        sp.next_id += 1;
-        let parent = sp.stack.last().map(|o| o.id);
-        if let Some(top) = sp.stack.last_mut() {
-            top.used = true;
-        }
-        sp.stack.push(OpenSpan {
-            id,
-            parent,
-            used: false,
-        });
+        let id = sp.open_child();
         ActiveSpan {
             inner: Some(Arc::clone(i)),
             id,
@@ -437,44 +490,86 @@ impl Telemetry {
         }
     }
 
-    /// Opens a *speculative* span: three relaxed atomic stores, no lock.
+    /// Arms a *speculative* span and returns its [`Speculation`] token:
+    /// relaxed loads and stores only, no lock, no read-modify-write.
     ///
     /// The span stays virtual until a child span attaches (via
-    /// [`Telemetry::span_start`] or [`Telemetry::span_record`]), at which
-    /// point it materializes on the causal stack — with its id assigned
-    /// before the child's, exactly as if it had been opened eagerly. If no
-    /// child ever attaches, [`SpeculativeSpan::end_if_used`] discards it
-    /// without ever touching the spans lock, which is why the simulator
-    /// wraps every mitigation consultation in one of these: the common
-    /// quiet path (engine returns no actions) pays no synchronization.
+    /// [`Telemetry::span_start`], [`Telemetry::span_record`] or a
+    /// [`Telemetry::flush_spans`] commit), at which point it materializes
+    /// on the causal stack — with its id assigned before the child's,
+    /// exactly as if it had been opened eagerly. If no child ever attaches,
+    /// [`Speculation::end_if_used`] discards it with relaxed loads and
+    /// stores alone, which is why the simulator wraps every mitigation
+    /// consultation in one of these: the common quiet path (engine returns
+    /// no actions) pays no synchronization.
     ///
-    /// Only one speculative span can be armed per hub at a time; opening a
+    /// Only one speculative span can be armed per hub at a time; arming a
     /// second before closing the first discards the first (closing a
-    /// superseded guard is a no-op). This mirrors the hub's single causal
-    /// stack: speculative spans are for serial hot loops, not concurrency.
-    pub fn span_speculate(&self, name: &'static str, start_ps: u64) -> SpeculativeSpan {
+    /// superseded token is a no-op). The slot belongs to one serial loop:
+    /// arming, the child spans that materialize it, and the close must all
+    /// come from that loop, which is what lets them skip atomic
+    /// read-modify-writes. Close the token on the hub that armed it.
+    pub fn span_speculate(&self, name: &'static str, start_ps: u64) -> Speculation {
         let Some(i) = &self.inner else {
-            return SpeculativeSpan {
-                inner: None,
+            return Speculation {
                 token: 0,
                 name,
                 start_ps,
             };
         };
-        let token = i.spec_next.fetch_add(1, Ordering::Relaxed);
-        let stale = i.spec_id.swap(0, Ordering::Relaxed);
+        let token = i.spec_next.load(Ordering::Relaxed);
+        i.spec_next.store(token + 1, Ordering::Relaxed);
+        let stale = i.spec_id.load(Ordering::Relaxed);
         if stale != 0 {
             // The previously armed speculative span materialized but was
             // never closed. Drop it from the causal stack now so it cannot
             // corrupt the parentage of everything opened after it.
+            i.spec_id.store(0, Ordering::Relaxed);
             i.spans.lock().unwrap().remove_open(stale);
         }
         i.spec_token.store(token, Ordering::Relaxed);
-        SpeculativeSpan {
-            inner: Some(Arc::clone(i)),
+        Speculation {
             token,
             name,
             start_ps,
+        }
+    }
+
+    /// Closes the speculation `spec`: commits it ending at `end_ps`, or
+    /// discards it when `end_ps` is `None` or when `require_used` is set
+    /// and it never materialized.
+    fn close_speculation(&self, spec: Speculation, end_ps: Option<u64>, require_used: bool) {
+        let Some(i) = &self.inner else {
+            return;
+        };
+        // Disarm the slot, but only if it is still ours: a later
+        // span_speculate supersedes this token (and already cleaned up any
+        // materialized residue), so a stale token is a no-op.
+        if spec.token == 0 || i.spec_token.load(Ordering::Relaxed) != spec.token {
+            return;
+        }
+        i.spec_token.store(0, Ordering::Relaxed);
+        let id = i.spec_id.load(Ordering::Relaxed);
+        if id == 0 {
+            // Never materialized: nothing is on the stack. A conditional
+            // close or a cancel discards for free; an unconditional end
+            // commits as a leaf now (equivalent to span_record).
+            if !require_used {
+                if let Some(end_ps) = end_ps {
+                    self.span_record(spec.name, spec.start_ps, end_ps);
+                }
+            }
+            return;
+        }
+        i.spec_id.store(0, Ordering::Relaxed);
+        // Materialized, which implies a child attached ("used"), so both
+        // end() and end_if_used() commit; only cancel discards.
+        let mut sp = i.spans.lock().unwrap();
+        match end_ps {
+            Some(end_ps) => sp.close(id, spec.name, spec.start_ps, end_ps, false),
+            None => {
+                sp.remove_open(id);
+            }
         }
     }
 
@@ -482,31 +577,69 @@ impl Telemetry {
     ///
     /// Equivalent to `span_start(name, start_ps).end(end_ps)` for spans
     /// that never take children: the recorded span's parent is the innermost
-    /// open span and the enclosing span is marked used. Hot paths that
-    /// bracket an interval already known to be over (queue waits, bank
-    /// blocks, per-action migration windows) use this to halve their lock
-    /// traffic versus the open/close guard pair.
+    /// open span and the enclosing span is marked used. The simulator's
+    /// per-action spans (migration windows, table writes, victim refreshes,
+    /// throttles) use this; the per-access leaves (queue waits, bank blocks)
+    /// go through a lock-free [`SpanBatch`] instead, and this stays the
+    /// reference path that [`Telemetry::flush_spans`] reproduces.
     pub fn span_record(&self, name: &'static str, start_ps: u64, end_ps: u64) {
         let Some(i) = &self.inner else {
             return;
         };
         let mut sp = i.spans.lock().unwrap();
         i.materialize_speculative(&mut sp);
-        let id = sp.next_id;
-        sp.next_id += 1;
-        let parent = sp.stack.last().map(|o| o.id);
-        if let Some(top) = sp.stack.last_mut() {
-            top.used = true;
+        let duration = sp.push_leaf(name, start_ps, end_ps);
+        sp.stats.entry(name).or_default().record(duration);
+    }
+
+    /// Commits `batch`'s pending leaf spans under one spans lock, in record
+    /// order, exactly as [`Telemetry::span_record`] would have at the time
+    /// of the flush: the first materializes an armed speculative span, and
+    /// each takes the next id, nests under the innermost open span and
+    /// marks it used.
+    /// Their per-name duration stats stay in the batch until
+    /// [`Telemetry::flush_span_stats`].
+    ///
+    /// Spans take ids from the hub in commit order, so a caller that
+    /// records into a batch must flush it before anything else records a
+    /// span on this hub; leaves recorded since the last span then commit
+    /// with the same ids, parents and ring positions as direct
+    /// `span_record` calls. An empty batch takes no lock.
+    pub fn flush_spans(&self, batch: &mut SpanBatch) {
+        if batch.pending.is_empty() {
+            return;
         }
-        let span = Span {
-            id,
-            parent,
-            name,
-            start_ps,
-            end_ps: end_ps.max(start_ps),
+        let Some(i) = &self.inner else {
+            batch.pending.clear();
+            return;
         };
-        sp.stats.entry(name).or_default().record(span.duration_ps());
-        sp.ring.push(span);
+        let mut sp = i.spans.lock().unwrap();
+        // The first leaf materializes an armed speculative span, if any;
+        // the later ones would find it materialized already.
+        i.materialize_speculative(&mut sp);
+        for leaf in batch.pending.drain(..) {
+            sp.push_leaf(leaf.name, leaf.start_ps, leaf.end_ps);
+        }
+    }
+
+    /// Flushes `batch` ([`Telemetry::flush_spans`]), then merges its
+    /// per-name duration stats into the hub's `span.<name>` histograms and
+    /// empties them. Stats are order-free, so merging them at coarse
+    /// boundaries (epoch end, run end) gives exactly the histograms
+    /// per-span recording would have.
+    pub fn flush_span_stats(&self, batch: &mut SpanBatch) {
+        self.flush_spans(batch);
+        if batch.stats.is_empty() {
+            return;
+        }
+        let Some(i) = &self.inner else {
+            batch.stats.clear();
+            return;
+        };
+        let mut sp = i.spans.lock().unwrap();
+        for (name, data) in batch.stats.drain(..) {
+            sp.stats.entry(name).or_default().merge(&data);
+        }
     }
 
     /// Opens a host-wallclock phase named `name` and returns the guard that
@@ -821,27 +954,12 @@ impl ActiveSpan {
             return;
         };
         let mut sp = i.spans.lock().unwrap();
-        let Some(open) = sp.remove_open(self.id) else {
-            return;
-        };
-        let Some(end_ps) = end_ps else {
-            return;
-        };
-        if require_used && !open.used {
-            return;
+        match end_ps {
+            Some(end_ps) => sp.close(self.id, self.name, self.start_ps, end_ps, require_used),
+            None => {
+                sp.remove_open(self.id);
+            }
         }
-        let span = Span {
-            id: self.id,
-            parent: open.parent,
-            name: self.name,
-            start_ps: self.start_ps,
-            end_ps: end_ps.max(self.start_ps),
-        };
-        sp.stats
-            .entry(self.name)
-            .or_default()
-            .record(span.duration_ps());
-        sp.ring.push(span);
     }
 }
 
@@ -852,109 +970,96 @@ impl Drop for ActiveSpan {
     }
 }
 
-/// Guard for a span opened with [`Telemetry::span_speculate`].
+/// Token of a speculative span armed with [`Telemetry::span_speculate`].
 ///
-/// Closing mirrors [`ActiveSpan`]: [`SpeculativeSpan::end`] commits,
-/// [`SpeculativeSpan::end_if_used`] commits only if a child attached (and
-/// for a span that never materialized this touches no lock at all),
-/// [`SpeculativeSpan::cancel`] and dropping the guard discard it.
+/// A plain value: it holds no reference to the hub and has no `Drop`, so
+/// arming and the quiet close touch nothing but the hub's relaxed
+/// speculation slot. Close it on the hub that armed it:
+/// [`Speculation::end`] commits, [`Speculation::end_if_used`] commits
+/// only if a child attached (and for a span that never materialized
+/// touches no lock), [`Speculation::cancel`] discards. A token that is
+/// never closed stays armed until the next `span_speculate` supersedes it.
 #[cfg(feature = "enabled")]
-#[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
-pub struct SpeculativeSpan {
-    inner: Option<Arc<Inner>>,
+#[must_use = "close the speculation with end()/end_if_used()/cancel()"]
+#[derive(Debug)]
+pub struct Speculation {
     token: u64,
     name: &'static str,
     start_ps: u64,
 }
 
 #[cfg(feature = "enabled")]
-impl std::fmt::Debug for SpeculativeSpan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpeculativeSpan")
-            .field("token", &self.token)
-            .field("name", &self.name)
-            .field("start_ps", &self.start_ps)
-            .finish()
-    }
-}
-
-#[cfg(feature = "enabled")]
-impl SpeculativeSpan {
-    /// Commits the span, ending at `end_ps` (clamped to the start time).
-    /// If it never materialized it commits as a leaf, taking the lock once.
-    pub fn end(mut self, end_ps: u64) {
-        self.close(Some(end_ps), false);
+impl Speculation {
+    /// Commits the span on `hub`, ending at `end_ps` (clamped to the start
+    /// time). If it never materialized it commits as a leaf, taking the
+    /// lock once.
+    pub fn end(self, hub: &Telemetry, end_ps: u64) {
+        hub.close_speculation(self, Some(end_ps), false);
     }
 
-    /// Commits the span only if a child span attached while it was armed;
-    /// discards it otherwise — without locking, which makes this the
-    /// free-when-quiet closer hot loops pair with
+    /// Commits the span on `hub` only if a child span attached while it was
+    /// armed; discards it otherwise with relaxed loads and stores alone,
+    /// which makes this the free-when-quiet closer hot loops pair with
     /// [`Telemetry::span_speculate`].
-    pub fn end_if_used(mut self, end_ps: u64) {
-        self.close(Some(end_ps), true);
+    pub fn end_if_used(self, hub: &Telemetry, end_ps: u64) {
+        hub.close_speculation(self, Some(end_ps), true);
     }
 
     /// Discards the span without recording anything.
-    pub fn cancel(mut self) {
-        self.close(None, false);
-    }
-
-    fn close(&mut self, end_ps: Option<u64>, require_used: bool) {
-        let Some(i) = self.inner.take() else {
-            return;
-        };
-        // Disarm the slot — but only if it is still ours. A later
-        // span_speculate supersedes this guard (and already cleaned up any
-        // materialized residue), so a failed exchange means no-op.
-        if i.spec_token
-            .compare_exchange(self.token, 0, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        let id = i.spec_id.swap(0, Ordering::Relaxed);
-        if id == 0 {
-            // Never materialized: nothing is on the stack. A conditional
-            // close or a cancel discards for free; an unconditional end
-            // commits as a leaf now (equivalent to span_record).
-            if !require_used {
-                if let Some(end_ps) = end_ps {
-                    let t = Telemetry {
-                        inner: Some(Arc::clone(&i)),
-                    };
-                    t.span_record(self.name, self.start_ps, end_ps);
-                }
-            }
-            return;
-        }
-        // Materialized, which implies a child attached ("used"), so both
-        // end() and end_if_used() commit; only cancel discards.
-        let mut sp = i.spans.lock().unwrap();
-        let Some(open) = sp.remove_open(id) else {
-            return;
-        };
-        let Some(end_ps) = end_ps else {
-            return;
-        };
-        let span = Span {
-            id,
-            parent: open.parent,
-            name: self.name,
-            start_ps: self.start_ps,
-            end_ps: end_ps.max(self.start_ps),
-        };
-        sp.stats
-            .entry(self.name)
-            .or_default()
-            .record(span.duration_ps());
-        sp.ring.push(span);
+    pub fn cancel(self, hub: &Telemetry) {
+        hub.close_speculation(self, None, false);
     }
 }
 
+/// One finished leaf span waiting in a [`SpanBatch`].
 #[cfg(feature = "enabled")]
-impl Drop for SpeculativeSpan {
-    fn drop(&mut self) {
-        self.close(None, false);
+#[derive(Debug)]
+struct Leaf {
+    name: &'static str,
+    start_ps: u64,
+    end_ps: u64,
+}
+
+/// Finished leaf spans recorded without a lock or an atomic operation, for
+/// [`Telemetry::flush_spans`] to commit in bulk.
+///
+/// The owner records into it on a hot path and flushes it before anything
+/// else can record a span on the hub (see [`Telemetry::flush_spans`]).
+/// Each leaf's duration is also tallied into per-name stats held here
+/// until [`Telemetry::flush_span_stats`] merges them.
+#[cfg(feature = "enabled")]
+#[derive(Debug, Default)]
+pub struct SpanBatch {
+    /// Leaves not yet committed, in record order.
+    pending: Vec<Leaf>,
+    /// Per-name duration stats not yet merged. A batch sees a handful of
+    /// names, so a linear scan beats a map.
+    stats: Vec<(&'static str, HistogramData)>,
+}
+
+#[cfg(feature = "enabled")]
+impl SpanBatch {
+    /// Records a finished leaf span `start_ps..end_ps` (the end clamped to
+    /// the start), as [`Telemetry::span_record`] would once flushed.
+    // Deliberately not `#[inline]`: inlined at each call site of a hot
+    // loop, it grows the loop's code even when no hub is attached.
+    pub fn record(&mut self, name: &'static str, start_ps: u64, end_ps: u64) {
+        let end_ps = end_ps.max(start_ps);
+        self.pending.push(Leaf {
+            name,
+            start_ps,
+            end_ps,
+        });
+        // Keyed by address: a name spelled at two addresses just gets two
+        // entries here, which the hub merges by content.
+        let k = match self.stats.iter().position(|(n, _)| std::ptr::eq(*n, name)) {
+            Some(k) => k,
+            None => {
+                self.stats.push((name, HistogramData::new()));
+                self.stats.len() - 1
+            }
+        };
+        self.stats[k].1.record(end_ps - start_ps);
     }
 }
 
@@ -1059,15 +1164,23 @@ impl Telemetry {
         ActiveSpan
     }
 
-    /// Returns an inert speculative span guard.
+    /// Returns an inert speculation token.
     #[inline]
-    pub fn span_speculate(&self, _name: &'static str, _start_ps: u64) -> SpeculativeSpan {
-        SpeculativeSpan
+    pub fn span_speculate(&self, _name: &'static str, _start_ps: u64) -> Speculation {
+        Speculation
     }
 
     /// No-op.
     #[inline]
     pub fn span_record(&self, _name: &'static str, _start_ps: u64, _end_ps: u64) {}
+
+    /// No-op.
+    #[inline]
+    pub fn flush_spans(&self, _batch: &mut SpanBatch) {}
+
+    /// No-op.
+    #[inline]
+    pub fn flush_span_stats(&self, _batch: &mut SpanBatch) {}
 
     /// Returns an inert phase guard: no clock read, no lock, zero size.
     #[inline]
@@ -1221,26 +1334,40 @@ impl ActiveSpan {
     pub fn cancel(self) {}
 }
 
-/// Inert speculative span guard (feature off): a zero-sized type with no
+/// Inert speculation token (feature off): a zero-sized type with no
 /// `Drop`, so the quiet path compiles to nothing.
 #[cfg(not(feature = "enabled"))]
-#[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
+#[must_use = "close the speculation with end()/end_if_used()/cancel()"]
 #[derive(Debug)]
-pub struct SpeculativeSpan;
+pub struct Speculation;
 
 #[cfg(not(feature = "enabled"))]
-impl SpeculativeSpan {
+impl Speculation {
     /// No-op.
     #[inline]
-    pub fn end(self, _end_ps: u64) {}
+    pub fn end(self, _hub: &Telemetry, _end_ps: u64) {}
 
     /// No-op.
     #[inline]
-    pub fn end_if_used(self, _end_ps: u64) {}
+    pub fn end_if_used(self, _hub: &Telemetry, _end_ps: u64) {}
 
     /// No-op.
     #[inline]
-    pub fn cancel(self) {}
+    pub fn cancel(self, _hub: &Telemetry) {}
+}
+
+/// Inert leaf-span batch (feature off): zero-sized, records nothing.
+#[cfg(not(feature = "enabled"))]
+#[derive(Debug, Default)]
+pub struct SpanBatch {
+    _private: (),
+}
+
+#[cfg(not(feature = "enabled"))]
+impl SpanBatch {
+    /// No-op.
+    #[inline]
+    pub fn record(&mut self, _name: &'static str, _start_ps: u64, _end_ps: u64) {}
 }
 
 #[cfg(test)]
@@ -1588,7 +1715,7 @@ mod tests {
     fn speculative_quiet_path_records_nothing_and_burns_no_id() {
         let t = Telemetry::new(TelemetryConfig::default());
         let sp = t.span_speculate("quiet", 0);
-        sp.end_if_used(10);
+        sp.end_if_used(&t, 10);
         assert!(t.spans().is_empty());
         assert!(t.summary().unwrap().histogram("span.quiet").is_none());
         // No span id was consumed: the next eager span gets id 1.
@@ -1604,7 +1731,7 @@ mod tests {
         let sp = t.span_speculate("mitigation", 100);
         let child = t.span_start("migration", 110);
         child.end(150);
-        sp.end_if_used(200);
+        sp.end_if_used(&t, 200);
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
         let child = spans.iter().find(|s| s.name == "migration").unwrap();
@@ -1623,7 +1750,7 @@ mod tests {
         let t = Telemetry::new(TelemetryConfig::default());
         let sp = t.span_speculate("drain", 10);
         t.span_record("refresh", 11, 15);
-        sp.end_if_used(20);
+        sp.end_if_used(&t, 20);
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
         let leaf = spans.iter().find(|s| s.name == "refresh").unwrap();
@@ -1636,7 +1763,7 @@ mod tests {
     fn speculative_unconditional_end_commits_as_leaf() {
         let t = Telemetry::new(TelemetryConfig::default());
         let sp = t.span_speculate("solo", 5);
-        sp.end(9);
+        sp.end(&t, 9);
         let spans = t.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!((spans[0].name, spans[0].parent), ("solo", None));
@@ -1651,7 +1778,7 @@ mod tests {
         // unused and is discarded by its own end_if_used.
         let outer = t.span_start("outer", 0);
         let quiet = t.span_speculate("quiet", 1);
-        quiet.end_if_used(2);
+        quiet.end_if_used(&t, 2);
         outer.end_if_used(3);
         assert!(t.spans().is_empty());
 
@@ -1661,7 +1788,7 @@ mod tests {
         let sp = t.span_speculate("mid", 11);
         let leaf = t.span_start("leaf", 12);
         leaf.end(13);
-        sp.end_if_used(14);
+        sp.end_if_used(&t, 14);
         outer.end_if_used(15);
         let spans = t.spans();
         assert_eq!(spans.len(), 3);
@@ -1674,18 +1801,16 @@ mod tests {
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn speculative_cancel_and_drop_discard_even_when_materialized() {
+    fn speculative_cancel_discards_even_when_materialized() {
         let t = Telemetry::new(TelemetryConfig::default());
         let sp = t.span_speculate("a", 0);
         t.span_record("child", 1, 2);
-        sp.cancel();
-        {
-            let _dropped = t.span_speculate("b", 10);
-            t.span_record("child", 11, 12);
-        }
+        sp.cancel(&t);
+        let quiet = t.span_speculate("b", 10);
+        quiet.cancel(&t);
         let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|s| s.name == "child"));
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "child");
         // The stack is clean: a new root has no parent.
         let root = t.span_start("c", 20);
         root.end(21);
@@ -1700,8 +1825,8 @@ mod tests {
         t.span_record("c1", 1, 2); // materializes `first`
         let second = t.span_speculate("second", 10); // supersedes `first`
         t.span_record("c2", 11, 12); // materializes `second`
-        second.end_if_used(20);
-        first.end(30); // superseded: must be a no-op
+        second.end_if_used(&t, 20);
+        first.end(&t, 30); // superseded: must be a no-op
         let spans = t.spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["c1", "c2", "second"]);
@@ -1714,6 +1839,52 @@ mod tests {
         let root = t.span_start("after", 40);
         root.end(41);
         assert_eq!(t.spans().last().unwrap().parent, None);
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn span_batch_commits_like_span_record() {
+        let direct = Telemetry::new(TelemetryConfig::default());
+        let batched = Telemetry::new(TelemetryConfig::default());
+        let mut batch = SpanBatch::default();
+        for hub in [&direct, &batched] {
+            hub.span_start("before", 0).end(1);
+        }
+        // Leaves recorded between two flush points, one end clamped.
+        direct.span_record("wait", 2, 5);
+        direct.span_record("block", 6, 4);
+        batch.record("wait", 2, 5);
+        batch.record("block", 6, 4);
+        // The next speculative root materializes on the first leaf that
+        // commits, in either path.
+        let a = direct.span_speculate("root", 7);
+        direct.span_record("wait", 8, 9);
+        a.end_if_used(&direct, 10);
+        batched.flush_spans(&mut batch);
+        let b = batched.span_speculate("root", 7);
+        batch.record("wait", 8, 9);
+        batched.flush_spans(&mut batch);
+        b.end_if_used(&batched, 10);
+        assert_eq!(direct.spans(), batched.spans());
+        // Stats wait in the batch until flush_span_stats merges them.
+        let stats = |hub: &Telemetry, name: &str| {
+            hub.summary()
+                .unwrap()
+                .histogram(name)
+                .map(|h| (h.count, h.max))
+        };
+        assert_eq!(stats(&batched, "span.wait"), None);
+        batched.flush_span_stats(&mut batch);
+        for name in ["span.wait", "span.block", "span.root", "span.before"] {
+            assert_eq!(stats(&direct, name), stats(&batched, name), "{name}");
+        }
+        assert_eq!(stats(&batched, "span.block"), Some((1, 0)));
+        // A flush on a disabled hub empties the batch without recording.
+        let off = Telemetry::disabled();
+        batch.record("wait", 0, 1);
+        off.flush_span_stats(&mut batch);
+        batched.flush_span_stats(&mut batch);
+        assert_eq!(batched.summary().unwrap().spans_recorded, 5);
     }
 
     #[cfg(feature = "enabled")]
@@ -1763,14 +1934,20 @@ mod tests {
 
     #[cfg(not(feature = "enabled"))]
     #[test]
-    fn feature_off_speculative_span_is_zero_sized_and_inert() {
-        assert_eq!(std::mem::size_of::<SpeculativeSpan>(), 0);
+    fn feature_off_span_batch_and_speculation_are_zero_sized() {
+        assert_eq!(std::mem::size_of::<Speculation>(), 0);
+        assert_eq!(std::mem::size_of::<SpanBatch>(), 0);
         let t = Telemetry::new(TelemetryConfig::default());
-        t.span_speculate("x", 0).end_if_used(1);
-        t.span_speculate("y", 0).end(1);
-        t.span_speculate("z", 0).cancel();
+        t.span_speculate("x", 0).end_if_used(&t, 1);
+        t.span_speculate("y", 0).end(&t, 1);
+        t.span_speculate("z", 0).cancel(&t);
+        let mut batch = SpanBatch::default();
+        batch.record("leaf", 0, 1);
+        t.flush_spans(&mut batch);
+        t.flush_span_stats(&mut batch);
         t.merge_from_prefixed(&Telemetry::new(TelemetryConfig::default()), "p");
         assert!(t.summary().is_none());
+        assert!(t.spans().is_empty());
     }
 
     #[cfg(not(feature = "enabled"))]

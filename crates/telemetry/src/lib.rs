@@ -5,7 +5,7 @@
 //!
 //! * [`Counter`] / [`Gauge`] handles backed by a named registry inside
 //!   [`Telemetry`]. With the `enabled` feature they are shared atomics; with
-//!   it off they degrade to plain thread-local cells, so instrumented hot
+//!   it off each handle degrades to its own `Cell`, so instrumented hot
 //!   paths still compile to a bare `u64` increment.
 //! * [`HistogramData`] — log-bucketed (power-of-two) latency histograms with
 //!   p50/p95/p99/max summaries, plus the [`Histogram`] recording handle.
@@ -18,6 +18,9 @@
 //!   time with parent links and per-name duration histograms, covering the
 //!   full migration lifecycle (quarantine decision → channel blocking →
 //!   table update) plus the intervals where demand traffic pays for it.
+//!   [`Speculation`] tokens arm roots that commit only if a child attaches,
+//!   and a [`SpanBatch`] records per-access leaf spans without a lock for
+//!   one bulk commit.
 //! * [`wallclock`] + [`PhaseGuard`] — scoped *host-time* phase timers over
 //!   `std::time::Instant` with a nesting stack, self/child accounting, and
 //!   folded-stacks export; the throughput instrument behind the hot-loop
@@ -61,7 +64,8 @@ pub use epoch::{EpochRecord, EpochSeries};
 pub use event::{Event, EventKind};
 pub use hist::{HistogramData, HistogramSummary};
 pub use hub::{
-    ActiveSpan, Counter, Gauge, Histogram, PhaseGuard, SpeculativeSpan, Telemetry, TelemetryConfig,
+    ActiveSpan, Counter, Gauge, Histogram, PhaseGuard, SpanBatch, Speculation, Telemetry,
+    TelemetryConfig,
 };
 pub use ring::RingBuffer;
 pub use span::Span;
