@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: formatting, lints, and the test suite in both telemetry modes.
+# Local CI: formatting, lints, the test suite, and end-to-end smoke checks.
 #
 # Usage: ./ci.sh
 #
@@ -17,31 +17,8 @@ run() {
 
 run cargo fmt --all --check
 
-# Lint and test with telemetry enabled (the default feature set).
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo test --offline --workspace -q
-
-# The whole workspace must also build and pass with telemetry compiled out.
-run cargo clippy --offline --workspace --all-targets --no-default-features -- -D warnings
-run cargo test --offline --workspace -q --no-default-features
-
-# Zero-cost smoke: with telemetry compiled out, the phase guard must be a
-# ZST (no Instant read, no Drop), and so must the serve path's leaf-span
-# batch and speculation token — assert each dedicated test ran and passed
-# rather than silently matching nothing.
-for zero_cost_test in feature_off_phase_guard_is_zero_sized \
-    feature_off_span_batch_and_speculation_are_zero_sized; do
-    echo
-    echo "==> zero-cost smoke (feature off): $zero_cost_test"
-    zero_cost_out=$(cargo test --offline -q -p aqua-telemetry --no-default-features \
-        "$zero_cost_test" 2>&1)
-    if ! grep -q "1 passed" <<<"$zero_cost_out"; then
-        echo "ERROR: $zero_cost_test did not run and pass" >&2
-        echo "$zero_cost_out" >&2
-        exit 1
-    fi
-done
-echo "phase guard, span batch and speculation token are zero-sized with telemetry compiled out"
 
 # Criterion benches in check mode: every bench body must still execute
 # (one iteration, no timing) so `cargo bench` stays runnable without
@@ -217,11 +194,10 @@ AQUA_BENCH_WORKLOADS=mcf target/release/fault_campaign \
     --fail-on-alert >/dev/null
 echo "no alert fired on a clean sweep"
 
-# Host-time profiler smoke: with telemetry on the folded-stacks output must
-# be non-empty and contain the sim.run root (flamegraph.pl-consumable);
-# with telemetry off the binary must exit 0 and report nothing to profile.
+# Host-time profiler smoke: the folded-stacks output must be non-empty and
+# contain the sim.run root (flamegraph.pl-consumable).
 echo
-echo "==> profile smoke (telemetry on)"
+echo "==> profile smoke"
 cargo run --offline -q --release -p aqua-bench --bin profile -- \
     --folded target/experiments/profile_smoke.folded \
     --jsonl target/experiments/profile_smoke.jsonl >/dev/null
@@ -234,27 +210,18 @@ profile_shard_out=$(cargo run --offline -q --release -p aqua-bench --bin profile
     --jsonl target/experiments/profile_shard_smoke.jsonl)
 run grep -q '^sim\.sharded;shard1;sim\.run' target/experiments/profile_shard_smoke.folded
 grep -q 'shard imbalance (2 shards)' <<<"$profile_shard_out"
-echo
-echo "==> profile smoke (telemetry off)"
-profile_off_out=$(cargo run --offline -q --release -p aqua-bench \
-    --no-default-features --bin profile)
-grep -q 'without the `telemetry` feature' <<<"$profile_off_out"
 
 # Performance-regression gate: the deterministic canary matrix must stay
 # within tolerance of the committed BENCH_8.json baseline — behavioral
 # metrics exactly-reproducible, the throughput canary within its tightened
 # 2x floor, the 4-channel scaling canary shard-deterministic (and above the
-# 2.5x speedup floor on hosts with enough cores) — in both telemetry
-# feature modes (span-phase latencies are only gated when telemetry is on;
-# the attribution residual is gated in both). BENCH_6.json and BENCH_7.json
-# stay committed as v2/v3-format parser fixtures only. Exit nonzero =
+# 2.5x speedup floor on hosts with enough cores), span-phase latencies and
+# the attribution residual included. BENCH_6.json and BENCH_7.json stay
+# committed as v2/v3-format parser fixtures only. Exit nonzero =
 # regression.
 echo
-echo "==> regression gate (telemetry on)"
+echo "==> regression gate"
 cargo run --offline -q --release -p aqua-bench --bin regression_gate
-echo
-echo "==> regression gate (telemetry off)"
-cargo run --offline -q --release -p aqua-bench --no-default-features --bin regression_gate
 
 # The gate itself must detect a synthetic regression: +10 pp of slowdown
 # (and residual) has to fail. A gate that cannot fail gates nothing.

@@ -143,8 +143,7 @@ fn bench_tracker(c: &mut Criterion) {
 /// `span_record_leaf` is the one-lock direct path, `span_batch_leaf` the
 /// lock-free batch the simulator uses, timed as four leaves and one flush
 /// per iteration (the migration flood's ratio of leaf spans to
-/// activations). With the telemetry feature off all of them compile to
-/// nothing and the numbers just measure the timer loop.
+/// activations).
 fn bench_span_costs(c: &mut Criterion) {
     let hub = Telemetry::new(Default::default());
     let mut t = 0u64;

@@ -30,10 +30,10 @@
 //! phases), min/median/max, and the max/median ratio — the number that says
 //! whether a parallel run is gated on one slow channel.
 //!
-//! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel. Built
-//! without the `telemetry` feature the binary still runs the simulation but
-//! prints a note and exits 0 — there is nothing to profile, by design (the
-//! phase guards compile to nothing).
+//! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel. Both
+//! output files are created before the simulation starts; one that cannot
+//! be created ends the program with exit code 2 and a line naming its flag
+//! and path.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -105,6 +105,8 @@ fn main() {
     let t_rh: u64 = arg("--trh").and_then(|v| v.parse().ok()).unwrap_or(1000);
     let folded_path = arg("--folded").unwrap_or_else(|| "target/experiments/profile.folded".into());
     let jsonl_path = arg("--jsonl").unwrap_or_else(|| "target/experiments/profile.jsonl".into());
+    let mut folded = create_output("--folded", &folded_path);
+    let mut jsonl = create_output("--jsonl", &jsonl_path);
 
     let channels: u32 = arg("--channels").and_then(|v| v.parse().ok()).unwrap_or(1);
     if channels == 0 {
@@ -140,14 +142,7 @@ fn main() {
     let wall = hub
         .summary()
         .and_then(|summary| summary.wallclock)
-        .filter(|_| hub.is_enabled());
-    let Some(wall) = wall else {
-        println!(
-            "built without the `telemetry` feature: phase guards compile \
-             to nothing, so there is no host-time profile to report"
-        );
-        return;
-    };
+        .expect("a live hub records the run's phases");
 
     print_phase_table(&wall.paths, wall.host_wallclock_ns);
     // Per-job sim phases merge back as *sibling* roots of the coordinator's
@@ -189,12 +184,10 @@ fn main() {
         &rows,
     );
 
-    let mut folded = create_output(&folded_path);
     wall.write_folded(&mut folded).expect("write folded stacks");
     folded.flush().expect("flush folded stacks");
     println!("wrote {folded_path}");
 
-    let mut jsonl = create_output(&jsonl_path);
     wall.write_jsonl(&mut jsonl).expect("write profile JSONL");
     jsonl.flush().expect("flush profile JSONL");
     println!("wrote {jsonl_path}");
@@ -252,9 +245,17 @@ fn print_shard_imbalance(paths: &[(String, PhaseStats)]) {
     );
 }
 
-fn create_output(path: &str) -> BufWriter<File> {
+/// Creates the file that output flag `flag` names (and its directory), so
+/// an unwritable path fails before the run instead of after it.
+fn create_output(flag: &str, path: &str) -> BufWriter<File> {
     if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    BufWriter::new(File::create(path).expect("create profile output file"))
+    match File::create(path) {
+        Ok(file) => BufWriter::new(file),
+        Err(e) => {
+            eprintln!("cannot create {flag} file {path}: {e}");
+            std::process::exit(2);
+        }
+    }
 }

@@ -17,7 +17,7 @@
 //!   `aqua_analysis::attribution` into migration-blocking, lookup-latency,
 //!   table-traffic, and residual components that sum to the slowdown;
 //! - **span-derived phase latencies** (p50/p99 of every `span.*` duration
-//!   histogram) when the `telemetry` feature is compiled in.
+//!   histogram).
 //!
 //! After the behavioral matrix it also times a **throughput canary**:
 //! `THROUGHPUT_REPEATS` (>= 5) serial repeats of the aqua-sram/mcf cell
@@ -74,6 +74,7 @@ use aqua_bench::gate::{
 };
 use aqua_bench::{journal, supervise, Harness, Scheme};
 use aqua_sim::CostAblation;
+use aqua_telemetry::json::push_str as push_json_str;
 use aqua_telemetry::Telemetry;
 
 const T_RH: u64 = 1000;
@@ -145,22 +146,6 @@ fn job_key(harness: &Harness, job: &Job) -> journal::CellKey {
         job.scheme.map_or("baseline", Scheme::name),
         job.workload,
     )
-}
-
-/// Escapes `s` as a JSON string into `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Encodes a [`JobResult`] as a compact journal payload. `f64` metrics use
@@ -478,7 +463,6 @@ fn measure(inject_pp: f64) -> Result<GateReport, String> {
         t_rh: T_RH,
         epochs: EPOCHS,
         seed: SEED,
-        telemetry: Telemetry::new(Default::default()).is_enabled(),
         throughput: Some(throughput),
         scaling: Some(scaling),
         cells,
@@ -487,8 +471,8 @@ fn measure(inject_pp: f64) -> Result<GateReport, String> {
 
 fn print_report(report: &GateReport) {
     println!(
-        "\n== regression gate canary (T_RH={}, epochs={}, seed={}, telemetry={}) ==",
-        report.t_rh, report.epochs, report.seed, report.telemetry
+        "\n== regression gate canary (T_RH={}, epochs={}, seed={}) ==",
+        report.t_rh, report.epochs, report.seed
     );
     println!(
         "{:<12} {:<8} {:>9} {:>10} | {:>7} {:>7} {:>7} {:>8}",

@@ -34,8 +34,9 @@
 //! Prints the full run report, including the security-oracle verdict, the
 //! shadow-memory integrity check, and — when a hub is attached — a
 //! host-throughput section (accesses per wallclock second; see DESIGN.md
-//! §12 on host vs simulated time). Telemetry flags require the default
-//! `telemetry` cargo feature; without it the output files are empty shells.
+//! §12 on host vs simulated time). Every output file is created before
+//! the simulation starts; one that cannot be created ends the program with
+//! exit code 2 and a line naming its flag and path.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -59,6 +60,19 @@ fn flag(name: &str) -> bool {
 
 /// The histogram names `Simulation::attach_telemetry` registers.
 const HISTOGRAMS: [&str; 3] = ["mem.access_ps", "migration.stall_ps", "table.lookup_ps"];
+
+/// Creates the file that output flag `flag` names, if it was given, so an
+/// unwritable path fails before the run instead of after it.
+fn create_output(flag: &str) -> Option<(String, BufWriter<File>)> {
+    let path = arg(flag)?;
+    match File::create(&path) {
+        Ok(file) => Some((path, BufWriter::new(file))),
+        Err(e) => {
+            eprintln!("cannot create {flag} file {path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn main() {
     let scheme = match arg("--scheme").as_deref().unwrap_or("aqua-sram") {
@@ -91,10 +105,10 @@ fn main() {
         }
     }
 
-    let trace_out = arg("--trace-out");
-    let timeseries_out = arg("--timeseries-out");
-    let histograms_out = arg("--histograms");
-    let spans_out = arg("--spans-out");
+    let trace_out = create_output("--trace-out");
+    let timeseries_out = create_output("--timeseries-out");
+    let histograms_out = create_output("--histograms");
+    let spans_out = create_output("--spans-out");
     // A live plane needs an enabled hub to snapshot, so it implies one
     // even when no export file was asked for.
     let want_telemetry = trace_out.is_some()
@@ -110,14 +124,7 @@ fn main() {
         if let Some(cap) = arg("--trace-capacity").and_then(|v| v.parse().ok()) {
             cfg.trace_capacity = cap;
         }
-        let hub = Telemetry::new(cfg);
-        if !hub.is_enabled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature; \
-                 trace/timeseries/histogram outputs will be empty"
-            );
-        }
-        Some(hub)
+        Some(Telemetry::new(cfg))
     } else {
         None
     };
@@ -192,10 +199,9 @@ fn main() {
         }
     }
 
-    if let Some(path) = trace_out {
+    if let Some((path, mut w)) = trace_out {
         let events = hub.trace_events();
         let spans = hub.spans();
-        let mut w = BufWriter::new(File::create(&path).expect("create --trace-out file"));
         write_chrome_trace_full(&mut w, events.iter(), &spans).expect("write Chrome trace");
         println!(
             "wrote {} trace events and {} spans to {path}",
@@ -203,20 +209,17 @@ fn main() {
             spans.len()
         );
     }
-    if let Some(path) = spans_out {
+    if let Some((path, mut w)) = spans_out {
         let spans = hub.spans();
-        let mut w = BufWriter::new(File::create(&path).expect("create --spans-out file"));
         write_spans_jsonl(&mut w, &spans).expect("write spans JSONL");
         println!("wrote {} span records to {path}", spans.len());
     }
-    if let Some(path) = timeseries_out {
+    if let Some((path, mut w)) = timeseries_out {
         let series = hub.epochs();
-        let mut w = BufWriter::new(File::create(&path).expect("create --timeseries-out file"));
         write_epochs_jsonl(&mut w, &series).expect("write epoch time series");
         println!("wrote {} epoch records to {path}", series.len());
     }
-    if let Some(path) = histograms_out {
-        let mut w = BufWriter::new(File::create(&path).expect("create --histograms file"));
+    if let Some((path, mut w)) = histograms_out {
         for name in HISTOGRAMS {
             let data = hub.histogram(name).snapshot();
             write_histogram_jsonl(&mut w, name, &data).expect("write histogram");

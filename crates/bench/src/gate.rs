@@ -25,6 +25,7 @@
 //! module carries a small recursive-descent parser for the subset the gate
 //! emits (objects, arrays, strings, finite numbers, booleans, null).
 
+use aqua_telemetry::json::push_str as push_json_str;
 use std::fmt::Write as _;
 
 /// Gate tolerances (documented in DESIGN.md section 11).
@@ -64,8 +65,7 @@ pub mod tolerance {
 }
 
 /// Span-derived latency of one migration phase, from the full run's
-/// telemetry summary (`span.<name>` histograms). Empty when the build has
-/// telemetry compiled out.
+/// telemetry summary (`span.<name>` histograms).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseLatency {
     /// Histogram name (e.g. `span.migration.install`).
@@ -102,7 +102,7 @@ pub struct CellMetrics {
     pub migrations_per_epoch: f64,
     /// Causal slowdown decomposition from the ablation re-runs.
     pub attribution: CellAttribution,
-    /// Span-derived phase latencies (empty when telemetry is off).
+    /// Span-derived phase latencies.
     pub phases: Vec<PhaseLatency>,
 }
 
@@ -170,9 +170,6 @@ pub struct GateReport {
     pub epochs: u64,
     /// Workload seed.
     pub seed: u64,
-    /// Whether the producing build had telemetry compiled in (controls
-    /// whether phase latencies are compared).
-    pub telemetry: bool,
     /// Host-throughput measurement, `None` in baselines produced before
     /// the throughput gate existed (they still parse and gate on the
     /// behavioral metrics alone).
@@ -211,24 +208,6 @@ pub(crate) fn num(v: f64) -> String {
     }
 }
 
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl GateReport {
     /// Renders the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
@@ -236,8 +215,8 @@ impl GateReport {
         let _ = write!(
             out,
             "{{\n  \"schema\": \"aqua-bench-gate-v1\",\n  \"t_rh\": {},\n  \
-             \"epochs\": {},\n  \"seed\": {},\n  \"telemetry\": {},\n  \"throughput\": ",
-            self.t_rh, self.epochs, self.seed, self.telemetry
+             \"epochs\": {},\n  \"seed\": {},\n  \"throughput\": ",
+            self.t_rh, self.epochs, self.seed
         );
         match &self.throughput {
             None => out.push_str("null"),
@@ -464,9 +443,6 @@ impl GateReport {
             t_rh: field_u64("t_rh")?,
             epochs: field_u64("epochs")?,
             seed: field_u64("seed")?,
-            telemetry: json::get(obj, "telemetry")
-                .and_then(JsonValue::as_bool)
-                .ok_or("missing boolean field \"telemetry\"")?,
             throughput,
             scaling,
             cells,
@@ -476,10 +452,6 @@ impl GateReport {
 
 /// Compares `current` against the committed `baseline` and returns one
 /// human-readable line per violated tolerance (empty = gate passes).
-///
-/// Span-phase latencies are only compared when **both** reports were
-/// produced with telemetry compiled in; a feature-off build gates on the
-/// behavioral metrics alone.
 pub fn compare(baseline: &GateReport, current: &GateReport) -> Vec<String> {
     use tolerance::*;
     let mut failures = Vec::new();
@@ -570,26 +542,22 @@ pub fn compare(baseline: &GateReport, current: &GateReport) -> Vec<String> {
                 c.attribution.residual_pct
             ));
         }
-        if baseline.telemetry && current.telemetry {
-            for bp in &b.phases {
-                let Some(cp) = c.phases.iter().find(|p| p.name == bp.name) else {
-                    failures.push(format!("{id}: phase {} missing from current run", bp.name));
+        for bp in &b.phases {
+            let Some(cp) = c.phases.iter().find(|p| p.name == bp.name) else {
+                failures.push(format!("{id}: phase {} missing from current run", bp.name));
+                continue;
+            };
+            for (metric, bv, cv) in [("p50", bp.p50_ps, cp.p50_ps), ("p99", bp.p99_ps, cp.p99_ps)] {
+                if bv < PHASE_FLOOR_PS && cv < PHASE_FLOOR_PS {
                     continue;
-                };
-                for (metric, bv, cv) in
-                    [("p50", bp.p50_ps, cp.p50_ps), ("p99", bp.p99_ps, cp.p99_ps)]
-                {
-                    if bv < PHASE_FLOOR_PS && cv < PHASE_FLOOR_PS {
-                        continue;
-                    }
-                    if cv > bv * (1.0 + PHASE_REL) + PHASE_FLOOR_PS {
-                        failures.push(format!(
-                            "{id}: {} {metric} {cv:.0} ps exceeds baseline {bv:.0} ps \
-                             by more than {:.0}%",
-                            bp.name,
-                            PHASE_REL * 100.0
-                        ));
-                    }
+                }
+                if cv > bv * (1.0 + PHASE_REL) + PHASE_FLOOR_PS {
+                    failures.push(format!(
+                        "{id}: {} {metric} {cv:.0} ps exceeds baseline {bv:.0} ps \
+                         by more than {:.0}%",
+                        bp.name,
+                        PHASE_REL * 100.0
+                    ));
                 }
             }
         }
@@ -661,11 +629,18 @@ pub mod json {
         obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
+    /// Deepest array/object nesting [`parse`] accepts. The gate's own
+    /// documents nest four levels; the limit keeps outside input (journal
+    /// lines, a baseline file, a `/healthz` body) from recursing the stack
+    /// away.
+    pub(crate) const MAX_DEPTH: usize = 128;
+
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -679,6 +654,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -718,8 +695,8 @@ pub mod json {
         fn value(&mut self) -> Result<JsonValue, String> {
             self.skip_ws();
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(JsonValue::Str(self.string()?)),
                 Some(b't') if self.eat_keyword("true") => Ok(JsonValue::Bool(true)),
                 Some(b'f') if self.eat_keyword("false") => Ok(JsonValue::Bool(false)),
@@ -731,6 +708,23 @@ pub mod json {
                     self.pos
                 )),
             }
+        }
+
+        /// Parses one array or object with `parse_one`, one level deeper.
+        fn nested(
+            &mut self,
+            parse_one: fn(&mut Self) -> Result<JsonValue, String>,
+        ) -> Result<JsonValue, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let value = parse_one(self);
+            self.depth -= 1;
+            value
         }
 
         fn object(&mut self) -> Result<JsonValue, String> {
@@ -884,7 +878,6 @@ mod tests {
             t_rh: 1000,
             epochs: 1,
             seed: 42,
-            telemetry: true,
             throughput: Some(ThroughputMetrics {
                 scheme: "aqua-sram".into(),
                 workload: "mcf".into(),
@@ -952,6 +945,17 @@ mod tests {
     }
 
     #[test]
+    fn parser_rejects_nesting_past_the_limit() {
+        let deepest = "[".repeat(json::MAX_DEPTH) + &"]".repeat(json::MAX_DEPTH);
+        assert!(json::parse(&deepest).is_ok());
+        let too_deep = format!("{{\"a\":{deepest}}}");
+        assert!(json::parse(&too_deep).unwrap_err().contains("nesting"));
+        // A 100 KB line of brackets is an error, not a stack overflow.
+        let err = json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
     fn identical_reports_pass_the_gate() {
         let r = sample();
         assert!(compare(&r, &r).is_empty());
@@ -991,10 +995,6 @@ mod tests {
         assert!(compare(&base, &cur)
             .iter()
             .any(|f| f.contains("span.migration.install")));
-        // Telemetry off on one side: the phase comparison is skipped.
-        let mut cur_off = cur.clone();
-        cur_off.telemetry = false;
-        assert!(compare(&base, &cur_off).is_empty());
     }
 
     #[test]

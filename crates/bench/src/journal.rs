@@ -42,9 +42,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::gate::{json, push_json_str, JsonValue};
+use crate::gate::{json, JsonValue};
 use aqua_dram::Duration;
 use aqua_sim::RunReport;
+use aqua_telemetry::json::push_str as push_json_str;
 
 /// Digest identifying one experiment cell across process restarts.
 ///

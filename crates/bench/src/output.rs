@@ -55,8 +55,7 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
 /// [`write_csv`] bracketed by a `bench.csv` wallclock phase on `telemetry`,
 /// so CSV serialization shows up in host-time profiles next to
 /// `bench.setup`/`bench.run`/`bench.merge`. Identical output to
-/// [`write_csv`]; with the `telemetry` feature off (or a disabled hub) the
-/// phase guard is inert.
+/// [`write_csv`]; on a disabled hub the phase guard is inert.
 ///
 /// # Panics
 ///
@@ -108,10 +107,8 @@ mod tests {
             &[vec!["1".into(), "2".into()]],
         );
         assert_eq!(std::fs::read_to_string(p).unwrap(), "a,b\n1,2\n");
-        if hub.is_enabled() {
-            let summary = hub.summary().unwrap();
-            let wall = summary.wallclock.expect("csv phase recorded");
-            assert_eq!(wall.phase("bench.csv").map(|s| s.count), Some(1));
-        }
+        let summary = hub.summary().unwrap();
+        let wall = summary.wallclock.expect("csv phase recorded");
+        assert_eq!(wall.phase("bench.csv").map(|s| s.count), Some(1));
     }
 }

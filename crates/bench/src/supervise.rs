@@ -660,19 +660,17 @@ mod tests {
             v
         });
         assert_eq!(out.len(), 3);
-        if hub.is_enabled() {
-            let summary = hub.summary().unwrap();
-            assert_eq!(summary.counter("bench.retries"), Some(1));
-            let events: Vec<_> = hub
-                .trace_events()
-                .into_iter()
-                .filter(|e| matches!(e.kind, EventKind::RetryAttempt { .. }))
-                .collect();
-            assert_eq!(events.len(), 1);
-            assert_eq!(
-                events[0].kind,
-                EventKind::RetryAttempt { job: 1, attempt: 2 }
-            );
-        }
+        let summary = hub.summary().unwrap();
+        assert_eq!(summary.counter("bench.retries"), Some(1));
+        let events: Vec<_> = hub
+            .trace_events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, EventKind::RetryAttempt { .. }))
+            .collect();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].kind,
+            EventKind::RetryAttempt { job: 1, attempt: 2 }
+        );
     }
 }

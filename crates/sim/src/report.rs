@@ -42,7 +42,7 @@ pub struct RunReport {
     /// neither recovered, counted, nor dormant escaped silently.
     pub faults: FaultReport,
     /// End-of-run telemetry snapshot (`None` when no telemetry hub was
-    /// attached or the `telemetry` feature is disabled).
+    /// attached).
     pub telemetry: Option<TelemetrySummary>,
 }
 

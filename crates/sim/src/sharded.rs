@@ -403,7 +403,6 @@ mod tests {
         assert!(msg.contains("watchdog"), "{msg}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_merges_shards_in_channel_order() {
         use aqua_telemetry::{Telemetry, TelemetryConfig};

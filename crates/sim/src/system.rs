@@ -315,11 +315,11 @@ impl<M: Mitigation> Simulation<M> {
         }
     }
 
-    /// Applies and drains `actions`, opening a child span per action;
-    /// returns the (possibly throttle-delayed) request completion time. The
-    /// buffer is left empty so the caller can hand it back to the scratch
-    /// slot without reallocation.
-    fn apply_actions(
+    /// Applies and drains `actions`, recording a child span per action
+    /// when `HUB`; returns the (possibly throttle-delayed) request
+    /// completion time. The buffer is left empty so the caller can hand it
+    /// back to the scratch slot without reallocation.
+    fn apply_actions<const HUB: bool>(
         &mut self,
         actions: &mut Vec<MitigationAction>,
         at: Time,
@@ -338,11 +338,13 @@ impl<M: Mitigation> Simulation<M> {
                         duration
                     };
                     let start = self.channel.reserve_migration(at, duration);
-                    self.telemetry.span_record(
-                        Self::migration_span_name(kind),
-                        start.as_ps(),
-                        (start + duration).as_ps(),
-                    );
+                    if HUB {
+                        self.telemetry.span_record(
+                            Self::migration_span_name(kind),
+                            start.as_ps(),
+                            (start + duration).as_ps(),
+                        );
+                    }
                     self.migration_local.record(duration.as_ps());
                     self.shadow.apply(movement);
                 }
@@ -354,15 +356,19 @@ impl<M: Mitigation> Simulation<M> {
                         // blind spot.
                         self.oracle.record_refresh(r);
                     }
-                    self.telemetry
-                        .span_record("sim.victim_refresh", at.as_ps(), at.as_ps());
+                    if HUB {
+                        self.telemetry
+                            .span_record("sim.victim_refresh", at.as_ps(), at.as_ps());
+                    }
                 }
                 MitigationAction::Throttle { delay } => {
-                    self.telemetry.span_record(
-                        "sim.throttle",
-                        completion.as_ps(),
-                        (completion + delay).as_ps(),
-                    );
+                    if HUB {
+                        self.telemetry.span_record(
+                            "sim.throttle",
+                            completion.as_ps(),
+                            (completion + delay).as_ps(),
+                        );
+                    }
                     completion += delay;
                 }
                 MitigationAction::TableWrites { count } => {
@@ -375,8 +381,10 @@ impl<M: Mitigation> Simulation<M> {
                     for _ in 0..count {
                         last = self.channel.reserve_table_access(at, dur) + dur;
                     }
-                    self.telemetry
-                        .span_record("sim.table_writes", at.as_ps(), last.as_ps());
+                    if HUB {
+                        self.telemetry
+                            .span_record("sim.table_writes", at.as_ps(), last.as_ps());
+                    }
                 }
             }
         }
@@ -391,21 +399,33 @@ impl<M: Mitigation> Simulation<M> {
     /// discarded with a few relaxed loads and stores, and it materializes —
     /// with correct id ordering and nesting — only when a child span
     /// actually attaches. The pending leaf spans commit first, since the
-    /// engine's spans take ids after them.
-    fn consult_mitigation(&mut self, phys: aqua_dram::RowAddr, at: Time, completion: Time) -> Time {
-        self.telemetry.flush_spans(&mut self.leaf_spans);
-        let sp = self.telemetry.span_speculate("sim.mitigation", at.as_ps());
+    /// engine's spans take ids after them. Without `HUB` none of this is
+    /// recorded.
+    fn consult_mitigation<const HUB: bool>(
+        &mut self,
+        phys: aqua_dram::RowAddr,
+        at: Time,
+        completion: Time,
+    ) -> Time {
+        let sp = HUB.then(|| {
+            self.telemetry.flush_spans(&mut self.leaf_spans);
+            self.telemetry.span_speculate("sim.mitigation", at.as_ps())
+        });
         let mut actions = std::mem::take(&mut self.action_scratch);
         self.notify_activation_into(phys, at, &mut actions);
         if actions.is_empty() {
-            sp.end_if_used(&self.telemetry, at.as_ps());
+            if let Some(sp) = sp {
+                sp.end_if_used(&self.telemetry, at.as_ps());
+            }
             self.action_scratch = actions;
             return completion;
         }
-        let completion = self.apply_actions(&mut actions, at, completion);
+        let completion = self.apply_actions::<HUB>(&mut actions, at, completion);
         self.action_scratch = actions;
-        let busy_until = self.channel.blocked_until().max(completion).max(at);
-        sp.end(&self.telemetry, busy_until.as_ps());
+        if let Some(sp) = sp {
+            let busy_until = self.channel.blocked_until().max(completion).max(at);
+            sp.end(&self.telemetry, busy_until.as_ps());
+        }
         completion
     }
 
@@ -461,18 +481,21 @@ impl<M: Mitigation> Simulation<M> {
         self.mitigation.on_activation_into(phys, at, actions);
     }
 
-    /// Records an activation with the oracle and trace (the oracle reports
-    /// first-time threshold crossings, which become trace events).
-    fn record_activation(&mut self, phys: aqua_dram::RowAddr, at: Time) {
+    /// Records an activation with the oracle and, when `HUB`, the trace
+    /// (the oracle reports first-time threshold crossings, which become
+    /// trace events).
+    fn record_activation<const HUB: bool>(&mut self, phys: aqua_dram::RowAddr, at: Time) {
         self.activations_local += 1;
-        self.telemetry.record(
-            at.as_ps(),
-            EventKind::Activate {
-                bank: phys.bank.index() as u64,
-                row: phys.row as u64,
-            },
-        );
-        if self.oracle.record(phys) {
+        if HUB {
+            self.telemetry.record(
+                at.as_ps(),
+                EventKind::Activate {
+                    bank: phys.bank.index() as u64,
+                    row: phys.row as u64,
+                },
+            );
+        }
+        if self.oracle.record(phys) && HUB {
             self.telemetry.record(
                 at.as_ps(),
                 EventKind::ThresholdCrossed {
@@ -491,8 +514,8 @@ impl<M: Mitigation> Simulation<M> {
 
     /// Records a `sim.bank_block` span when a bank access had to wait for an
     /// exclusive migration to release the channel.
-    fn note_bank_block(&mut self, t: Time, blocked: Time) {
-        if blocked > t && self.telemetry.is_enabled() {
+    fn note_bank_block<const HUB: bool>(&mut self, t: Time, blocked: Time) {
+        if HUB && blocked > t {
             self.leaf_spans
                 .record("sim.bank_block", t.as_ps(), blocked.as_ps());
         }
@@ -500,15 +523,15 @@ impl<M: Mitigation> Simulation<M> {
 
     /// Records a `sim.queue_wait` span when ready data had to queue behind
     /// other bus traffic before its burst slot.
-    fn note_queue_wait(&mut self, ready: Time, slot: Time) {
-        if slot > ready && self.telemetry.is_enabled() {
+    fn note_queue_wait<const HUB: bool>(&mut self, ready: Time, slot: Time) {
+        if HUB && slot > ready {
             self.leaf_spans
                 .record("sim.queue_wait", ready.as_ps(), slot.as_ps());
         }
     }
 
     /// Serves one request from core `ci` issued at `t0`; returns completion.
-    fn serve(&mut self, ci: usize, t0: Time) {
+    fn serve<const HUB: bool>(&mut self, ci: usize, t0: Time) {
         let ablate = self.cfg.ablate;
         let req = self.cores[ci].pending();
         let tr = self.mitigation.translate(req.row, t0);
@@ -523,7 +546,7 @@ impl<M: Mitigation> Simulation<M> {
         // Extra in-DRAM mapping-table read on the critical path.
         if let Some(trow) = tr.table_row {
             let blocked = self.channel.blocked_until();
-            self.note_bank_block(t, blocked);
+            self.note_bank_block::<HUB>(t, blocked);
             let start = t.max(blocked);
             let res = self.banks[trow.bank.index() as usize].access(trow.row, start);
             let table_burst = if ablate.free_table_traffic {
@@ -534,10 +557,10 @@ impl<M: Mitigation> Simulation<M> {
             let slot = self
                 .channel
                 .reserve_table_access(res.data_ready, table_burst);
-            self.note_queue_wait(res.data_ready, slot);
+            self.note_queue_wait::<HUB>(res.data_ready, slot);
             if res.activated {
-                self.record_activation(trow, res.data_ready);
-                self.consult_mitigation(trow, res.data_ready, res.data_ready);
+                self.record_activation::<HUB>(trow, res.data_ready);
+                self.consult_mitigation::<HUB>(trow, res.data_ready, res.data_ready);
             }
             if !ablate.free_lookup_latency {
                 // The access's critical path waits for the table read; under
@@ -561,15 +584,15 @@ impl<M: Mitigation> Simulation<M> {
             self.integrity_escapes.inc();
         }
         let blocked = self.channel.blocked_until();
-        self.note_bank_block(t, blocked);
+        self.note_bank_block::<HUB>(t, blocked);
         let start = t.max(blocked);
         let res = self.banks[phys.bank.index() as usize].access(phys.row, start);
         let slot = self.channel.reserve_burst(res.data_ready, self.burst);
-        self.note_queue_wait(res.data_ready, slot);
+        self.note_queue_wait::<HUB>(res.data_ready, slot);
         let mut completion = slot + self.burst;
         if res.activated {
-            self.record_activation(phys, completion);
-            completion = self.consult_mitigation(phys, completion, completion);
+            self.record_activation::<HUB>(phys, completion);
+            completion = self.consult_mitigation::<HUB>(phys, completion, completion);
         }
         self.access_local
             .record(completion.saturating_since(t0).as_ps());
@@ -731,6 +754,20 @@ impl<M: Mitigation> Simulation<M> {
     /// configured wall-clock watchdog budget is exceeded (the bench worker
     /// pool catches the unwind and marks the cell failed).
     pub fn run(&mut self) -> RunReport {
+        // Two copies of the loop: without a hub, every phase, span and
+        // trace call it would make is a no-op, and the copy compiled with
+        // `HUB = false` leaves them out instead of testing for the hub on
+        // every access and refresh tick. The copies differ in nothing
+        // else (`tests/hub_equivalence.rs`).
+        if self.telemetry.is_enabled() {
+            self.run_loop::<true>()
+        } else {
+            self.run_loop::<false>()
+        }
+    }
+
+    /// [`Self::run`]'s loop; `HUB` is whether a hub is attached.
+    fn run_loop<const HUB: bool>(&mut self) -> RunReport {
         let epoch_len = self.cfg.base.epoch;
         let end = Time::ZERO + epoch_len.checked_scale(self.cfg.epochs);
         let t_refi = self.cfg.base.timing.t_refi;
@@ -744,8 +781,8 @@ impl<M: Mitigation> Simulation<M> {
         // Wallclock phases bracket coarse units only (the whole run, one
         // epoch, one refresh drain) — never the per-access serve path, so
         // the profiler cannot perturb what it measures.
-        let run_phase = self.telemetry.phase("sim.run");
-        let mut epoch_phase = self.telemetry.phase("sim.epoch");
+        let run_phase = HUB.then(|| self.telemetry.phase("sim.run"));
+        let mut epoch_phase = HUB.then(|| self.telemetry.phase("sim.epoch"));
         while let Some((ci, t)) = self
             .cores
             .iter()
@@ -786,47 +823,55 @@ impl<M: Mitigation> Simulation<M> {
             if t >= next_tick {
                 // The phase opens only when at least one tick is due, so an
                 // idle check costs no clock read.
-                let _drain = self.telemetry.phase("sim.refresh_drain");
-                self.telemetry.flush_spans(&mut self.leaf_spans);
+                let _drain = HUB.then(|| {
+                    let drain = self.telemetry.phase("sim.refresh_drain");
+                    self.telemetry.flush_spans(&mut self.leaf_spans);
+                    drain
+                });
                 while t >= next_tick {
                     // Background work (lazy RQA drain, pending unswaps) gets
                     // its own root span, separate from demand-path
                     // consultations. Speculative: a quiet tick pays no span
                     // lock.
-                    let sp = self
-                        .telemetry
-                        .span_speculate("sim.refresh_tick", next_tick.as_ps());
+                    let sp = HUB.then(|| {
+                        self.telemetry
+                            .span_speculate("sim.refresh_tick", next_tick.as_ps())
+                    });
                     let mut actions = std::mem::take(&mut self.action_scratch);
                     self.mitigation
                         .on_refresh_tick_into(next_tick, &mut actions);
                     if actions.is_empty() {
-                        sp.end_if_used(&self.telemetry, next_tick.as_ps());
+                        if let Some(sp) = sp {
+                            sp.end_if_used(&self.telemetry, next_tick.as_ps());
+                        }
                     } else {
-                        self.apply_actions(&mut actions, next_tick, next_tick);
-                        sp.end(
-                            &self.telemetry,
-                            self.channel.blocked_until().max(next_tick).as_ps(),
-                        );
+                        self.apply_actions::<HUB>(&mut actions, next_tick, next_tick);
+                        if let Some(sp) = sp {
+                            sp.end(
+                                &self.telemetry,
+                                self.channel.blocked_until().max(next_tick).as_ps(),
+                            );
+                        }
                     }
                     self.action_scratch = actions;
                     next_tick += t_refi;
                 }
             }
             while t >= next_epoch {
-                epoch_phase.finish();
+                drop(epoch_phase);
                 {
                     let _end = self.telemetry.phase("sim.epoch_end");
                     self.sample_epoch(epoch_idx, next_epoch, &mut baseline);
                     self.mitigation.end_epoch();
                     self.oracle.end_epoch();
                 }
-                epoch_phase = self.telemetry.phase("sim.epoch");
+                epoch_phase = HUB.then(|| self.telemetry.phase("sim.epoch"));
                 next_epoch += epoch_len;
                 epoch_idx += 1;
             }
-            self.serve(ci, t);
+            self.serve::<HUB>(ci, t);
         }
-        epoch_phase.finish();
+        drop(epoch_phase);
         // Close out remaining epoch boundaries. Any still-undelivered fault
         // events fire first, so every scheduled fault is accounted for even
         // when the cores drained early.
@@ -844,7 +889,7 @@ impl<M: Mitigation> Simulation<M> {
         // Close the run phase before the summary is taken so the whole
         // profile (including this run's root total) lands in the report.
         self.flush_histograms();
-        run_phase.finish();
+        drop(run_phase);
         let faults = self.close_fault_accounting(end);
         let stats = self.channel.stats();
         RunReport {
@@ -1169,7 +1214,6 @@ mod tests {
         assert_eq!(plain.run(), wired.run());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn migration_lifecycle_emits_nested_spans() {
         use aqua_telemetry::{Telemetry, TelemetryConfig};
@@ -1334,15 +1378,13 @@ mod tests {
         // Escalation never changes simulated results.
         assert_eq!(slow.requests_done, plain.requests_done);
         assert_eq!(slow.mitigation, plain.mitigation);
-        if hub.is_enabled() {
-            let summary = hub.summary().unwrap();
-            // Fires exactly once per run, even though many serves follow.
-            assert_eq!(summary.counter("sim.straggler_reports"), Some(1));
-            assert!(hub
-                .trace_events()
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::StragglerReport { .. })));
-        }
+        let summary = hub.summary().unwrap();
+        // Fires exactly once per run, even though many serves follow.
+        assert_eq!(summary.counter("sim.straggler_reports"), Some(1));
+        assert!(hub
+            .trace_events()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::StragglerReport { .. })));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! change to how the simulator records spans (ids, parent links, ring
 //! order, the speculative roots, the shard merge) therefore fails here
 //! unless it is byte-for-byte invisible.
-#![cfg(feature = "telemetry")]
 
 use aqua::{AquaConfig, AquaEngine};
 use aqua_dram::mitigation::Mitigation;

@@ -542,11 +542,9 @@ mod tests {
     fn serves_metrics_and_healthz_over_http() {
         let p = plane();
         let hub = Telemetry::new(TelemetryConfig::default());
-        if hub.is_enabled() {
-            hub.counter("sim.requests").add(42);
-            let snap = SnapshotTracker::new().capture(&hub).unwrap();
-            p.publish("aqua-sram/mcf;ch0", snap);
-        }
+        hub.counter("sim.requests").add(42);
+        let snap = SnapshotTracker::new().capture(&hub).unwrap();
+        p.publish("aqua-sram/mcf;ch0", snap);
         p.update_cells(|c| {
             c.total = 4;
             c.in_flight = 2;
@@ -556,16 +554,14 @@ mod tests {
         assert!(head.contains("text/plain"), "{head}");
         assert!(body.contains("aqua_up 1"), "{body}");
         assert!(body.contains("aqua_cells_in_flight 2"), "{body}");
-        if hub.is_enabled() {
-            assert!(
-                body.contains("aqua_sim_requests_total{source=\"aqua-sram/mcf;ch0\"} 42"),
-                "{body}"
-            );
-            assert!(
-                body.contains("# TYPE aqua_sim_requests_total counter"),
-                "{body}"
-            );
-        }
+        assert!(
+            body.contains("aqua_sim_requests_total{source=\"aqua-sram/mcf;ch0\"} 42"),
+            "{body}"
+        );
+        assert!(
+            body.contains("# TYPE aqua_sim_requests_total counter"),
+            "{body}"
+        );
         let (head, body) = get(p.local_addr(), "/healthz");
         assert!(head.contains("application/json"), "{head}");
         assert!(body.starts_with("{\"status\":\"ok\""), "{body}");
@@ -580,26 +576,24 @@ mod tests {
     fn channel_rollups_compute_imbalance() {
         let p = plane();
         let hub = Telemetry::new(TelemetryConfig::default());
-        if hub.is_enabled() {
-            let c = hub.counter("sim.requests");
-            c.add(100);
-            let mut t = SnapshotTracker::new();
-            p.publish("aqua-sram/mcf;ch0", t.capture(&hub).unwrap());
-            c.add(300); // total 400 on ch1
-            p.publish(
-                "aqua-sram/mcf;ch1",
-                SnapshotTracker::new().capture(&hub).unwrap(),
-            );
-            let body = p.render_metrics();
-            assert!(
-                body.contains("aqua_channel_requests{cell=\"aqua-sram/mcf\",channel=\"0\"} 100"),
-                "{body}"
-            );
-            assert!(
-                body.contains("aqua_channel_imbalance_ratio{cell=\"aqua-sram/mcf\"} 4"),
-                "{body}"
-            );
-        }
+        let c = hub.counter("sim.requests");
+        c.add(100);
+        let mut t = SnapshotTracker::new();
+        p.publish("aqua-sram/mcf;ch0", t.capture(&hub).unwrap());
+        c.add(300); // total 400 on ch1
+        p.publish(
+            "aqua-sram/mcf;ch1",
+            SnapshotTracker::new().capture(&hub).unwrap(),
+        );
+        let body = p.render_metrics();
+        assert!(
+            body.contains("aqua_channel_requests{cell=\"aqua-sram/mcf\",channel=\"0\"} 100"),
+            "{body}"
+        );
+        assert!(
+            body.contains("aqua_channel_imbalance_ratio{cell=\"aqua-sram/mcf\"} 4"),
+            "{body}"
+        );
         p.shutdown();
     }
 

@@ -1,31 +1,23 @@
 //! The shared telemetry hub and its metric handles.
 //!
 //! [`Telemetry`] is the cheap-to-clone handle every simulator layer holds.
-//! With the `enabled` cargo feature the handles feed shared atomics, the
-//! bounded ring trace, histograms, and the epoch series. With the feature
-//! off, [`Telemetry`] is a zero-sized type: [`Counter`] / [`Gauge`] degrade
-//! to per-handle `Cell`s (a bare `u64` increment on the hot path) and every
-//! trace/histogram/span/epoch call compiles to nothing.
+//! A live hub ([`Telemetry::new`]) feeds shared atomics, the bounded ring
+//! trace, histograms, spans, wallclock phases and the epoch series. A
+//! disabled handle ([`Telemetry::disabled`], also the `Default`) holds
+//! nothing, and every call on it returns after one `None` test. The
+//! simulator's serve loop goes further: it checks
+//! [`Telemetry::is_enabled`] once per run and, without a hub, runs a copy
+//! of its loop that makes none of these calls (DESIGN.md section 13).
 
 use crate::epoch::{EpochRecord, EpochSeries};
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
+use crate::hist::HistogramData;
+use crate::ring::RingBuffer;
 use crate::span::Span;
 use crate::summary::TelemetrySummary;
-
-#[cfg(feature = "enabled")]
 use crate::wallclock::{WallProfile, WallclockSummary};
-
-#[cfg(feature = "enabled")]
-use crate::event::Event;
-#[cfg(feature = "enabled")]
-use crate::hist::HistogramData;
-#[cfg(feature = "enabled")]
-use crate::ring::RingBuffer;
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex};
 
 /// Construction-time options for a telemetry hub.
@@ -49,11 +41,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Feature ON: shared hub.
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "enabled")]
 struct Inner {
     cfg: TelemetryConfig,
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
@@ -75,7 +62,6 @@ struct Inner {
     spec_next: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 impl Inner {
     /// Materializes the armed speculative span, if any, under the spans
     /// lock the caller already holds: assigns it the next span id *before*
@@ -93,7 +79,6 @@ impl Inner {
 }
 
 /// A wallclock phase currently open on the hub's phase stack.
-#[cfg(feature = "enabled")]
 struct OpenPhase {
     token: u64,
     name: &'static str,
@@ -105,14 +90,12 @@ struct OpenPhase {
 /// All mutable wallclock-profiling state, behind one lock so open/close
 /// stay atomic. Unlike [`SpanTrack`] this measures *host* nanoseconds via
 /// `Instant`, not simulated picoseconds.
-#[cfg(feature = "enabled")]
 struct WallTrack {
     profile: WallProfile,
     stack: Vec<OpenPhase>,
     next_token: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl WallTrack {
     fn new() -> Self {
         WallTrack {
@@ -148,7 +131,6 @@ impl WallTrack {
 }
 
 /// A span currently open on the hub's causal stack.
-#[cfg(feature = "enabled")]
 struct OpenSpan {
     id: u64,
     parent: Option<u64>,
@@ -160,7 +142,6 @@ struct OpenSpan {
 }
 
 /// All mutable span state, behind one lock so begin/end stay atomic.
-#[cfg(feature = "enabled")]
 struct SpanTrack {
     ring: RingBuffer<Span>,
     stack: Vec<OpenSpan>,
@@ -169,7 +150,6 @@ struct SpanTrack {
     stats: BTreeMap<&'static str, HistogramData>,
 }
 
-#[cfg(feature = "enabled")]
 impl SpanTrack {
     fn new(capacity: usize) -> Self {
         SpanTrack {
@@ -262,14 +242,12 @@ impl SpanTrack {
 }
 
 /// Cheap-to-clone handle to the telemetry hub (or to nothing, when
-/// constructed via [`Telemetry::disabled`] or with the feature off).
-#[cfg(feature = "enabled")]
+/// constructed via [`Telemetry::disabled`]).
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
@@ -278,7 +256,6 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Telemetry {
     /// Creates an active hub.
     pub fn new(cfg: TelemetryConfig) -> Self {
@@ -778,11 +755,9 @@ impl Telemetry {
 }
 
 /// Monotone counter handle (shared atomic when live).
-#[cfg(feature = "enabled")]
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Option<Arc<AtomicU64>>);
 
-#[cfg(feature = "enabled")]
 impl Counter {
     /// Adds one.
     #[inline]
@@ -808,11 +783,9 @@ impl Counter {
 }
 
 /// Last-value gauge handle (shared atomic `f64` bits when live).
-#[cfg(feature = "enabled")]
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Option<Arc<AtomicU64>>);
 
-#[cfg(feature = "enabled")]
 impl Gauge {
     /// Overwrites the gauge value.
     #[inline]
@@ -832,11 +805,9 @@ impl Gauge {
 }
 
 /// Histogram recording handle (shared when live).
-#[cfg(feature = "enabled")]
 #[derive(Clone, Debug, Default)]
 pub struct Histogram(Option<Arc<Mutex<HistogramData>>>);
 
-#[cfg(feature = "enabled")]
 impl Histogram {
     /// Records one sample.
     #[inline]
@@ -877,27 +848,13 @@ impl Histogram {
     pub fn p99(&self) -> f64 {
         self.percentile(0.99)
     }
-}
 
-/// Shared [`Histogram`] surface. Exactly one `Histogram` type exists per
-/// compilation (shared handle with the `enabled` feature, ZST without), so
-/// this single ungated impl serves both modes — snapshotting logic lives
-/// here once instead of in two near-identical gated copies.
-impl Histogram {
-    /// Snapshot of the underlying data (empty for detached handles, and
-    /// always empty with the feature off).
-    pub fn snapshot(&self) -> crate::hist::HistogramData {
-        #[cfg(feature = "enabled")]
-        {
-            self.0
-                .as_ref()
-                .map(|h| h.lock().unwrap().clone())
-                .unwrap_or_default()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            crate::hist::HistogramData::new()
-        }
+    /// Snapshot of the underlying data (empty for detached handles).
+    pub fn snapshot(&self) -> HistogramData {
+        self.0
+            .as_ref()
+            .map(|h| h.lock().unwrap().clone())
+            .unwrap_or_default()
     }
 }
 
@@ -906,7 +863,6 @@ impl Histogram {
 /// Exactly one of [`ActiveSpan::end`], [`ActiveSpan::end_if_used`], or
 /// [`ActiveSpan::cancel`] should close it; dropping the guard unclosed is
 /// equivalent to `cancel` (nothing is recorded).
-#[cfg(feature = "enabled")]
 #[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
 pub struct ActiveSpan {
     inner: Option<Arc<Inner>>,
@@ -915,7 +871,6 @@ pub struct ActiveSpan {
     start_ps: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for ActiveSpan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActiveSpan")
@@ -926,7 +881,6 @@ impl std::fmt::Debug for ActiveSpan {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl ActiveSpan {
     /// Hub-unique id of this span (0 when the hub is disabled).
     pub fn id(&self) -> u64 {
@@ -963,7 +917,6 @@ impl ActiveSpan {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for ActiveSpan {
     fn drop(&mut self) {
         self.close(None, false);
@@ -979,7 +932,6 @@ impl Drop for ActiveSpan {
 /// only if a child attached (and for a span that never materialized
 /// touches no lock), [`Speculation::cancel`] discards. A token that is
 /// never closed stays armed until the next `span_speculate` supersedes it.
-#[cfg(feature = "enabled")]
 #[must_use = "close the speculation with end()/end_if_used()/cancel()"]
 #[derive(Debug)]
 pub struct Speculation {
@@ -988,7 +940,6 @@ pub struct Speculation {
     start_ps: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl Speculation {
     /// Commits the span on `hub`, ending at `end_ps` (clamped to the start
     /// time). If it never materialized it commits as a leaf, taking the
@@ -1012,7 +963,6 @@ impl Speculation {
 }
 
 /// One finished leaf span waiting in a [`SpanBatch`].
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct Leaf {
     name: &'static str,
@@ -1027,7 +977,6 @@ struct Leaf {
 /// else can record a span on the hub (see [`Telemetry::flush_spans`]).
 /// Each leaf's duration is also tallied into per-name stats held here
 /// until [`Telemetry::flush_span_stats`] merges them.
-#[cfg(feature = "enabled")]
 #[derive(Debug, Default)]
 pub struct SpanBatch {
     /// Leaves not yet committed, in record order.
@@ -1037,12 +986,11 @@ pub struct SpanBatch {
     stats: Vec<(&'static str, HistogramData)>,
 }
 
-#[cfg(feature = "enabled")]
 impl SpanBatch {
     /// Records a finished leaf span `start_ps..end_ps` (the end clamped to
     /// the start), as [`Telemetry::span_record`] would once flushed.
-    // Deliberately not `#[inline]`: inlined at each call site of a hot
-    // loop, it grows the loop's code even when no hub is attached.
+    // Deliberately not `#[inline]`: inlined at each call site of the
+    // simulator's serve loop, it grows that loop's code.
     pub fn record(&mut self, name: &'static str, start_ps: u64, end_ps: u64) {
         let end_ps = end_ps.max(start_ps);
         self.pending.push(Leaf {
@@ -1069,14 +1017,12 @@ impl SpanBatch {
 /// [`PhaseGuard::finish`] is the explicit-close spelling for call sites
 /// that reopen a phase in a loop. For a disabled handle the guard holds
 /// nothing and closing it is a no-op.
-#[cfg(feature = "enabled")]
 #[must_use = "bind the guard; the phase is timed until it drops"]
 pub struct PhaseGuard {
     inner: Option<Arc<Inner>>,
     token: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for PhaseGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhaseGuard")
@@ -1086,288 +1032,18 @@ impl std::fmt::Debug for PhaseGuard {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl PhaseGuard {
     /// Closes the phase now (equivalent to dropping the guard).
     #[inline]
     pub fn finish(self) {}
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if let Some(i) = self.inner.take() {
             i.wall.lock().unwrap().close(self.token);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Feature OFF: zero-cost stand-ins with the same API.
-// ---------------------------------------------------------------------------
-
-/// Zero-sized stand-in for the telemetry hub (feature `enabled` off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Telemetry;
-
-#[cfg(not(feature = "enabled"))]
-impl Telemetry {
-    /// Accepts the config and discards it.
-    pub fn new(_cfg: TelemetryConfig) -> Self {
-        Telemetry
-    }
-
-    /// Same as [`Telemetry::new`] in this mode: records nothing.
-    pub fn disabled() -> Self {
-        Telemetry
-    }
-
-    /// Forks into another zero-sized handle.
-    pub fn fork(&self) -> Telemetry {
-        Telemetry
-    }
-
-    /// No-op.
-    pub fn merge_from(&self, _other: &Telemetry) {}
-
-    /// No-op.
-    pub fn merge_from_prefixed(&self, _other: &Telemetry, _wall_prefix: &str) {}
-
-    /// Always `false` in this mode.
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Returns a plain local counter cell.
-    pub fn counter(&self, _name: &'static str) -> Counter {
-        Counter::default()
-    }
-
-    /// Returns a plain local gauge cell.
-    pub fn gauge(&self, _name: &'static str) -> Gauge {
-        Gauge::default()
-    }
-
-    /// Returns a no-op histogram handle.
-    pub fn histogram(&self, _name: &'static str) -> Histogram {
-        Histogram
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn record(&self, _ts_ps: u64, _kind: EventKind) {}
-
-    /// Returns an inert span guard.
-    #[inline]
-    pub fn span_start(&self, _name: &'static str, _start_ps: u64) -> ActiveSpan {
-        ActiveSpan
-    }
-
-    /// Returns an inert speculation token.
-    #[inline]
-    pub fn span_speculate(&self, _name: &'static str, _start_ps: u64) -> Speculation {
-        Speculation
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn span_record(&self, _name: &'static str, _start_ps: u64, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn flush_spans(&self, _batch: &mut SpanBatch) {}
-
-    /// No-op.
-    #[inline]
-    pub fn flush_span_stats(&self, _batch: &mut SpanBatch) {}
-
-    /// Returns an inert phase guard: no clock read, no lock, zero size.
-    #[inline]
-    pub fn phase(&self, _name: &'static str) -> PhaseGuard {
-        PhaseGuard
-    }
-
-    /// Always empty in this mode.
-    pub fn spans(&self) -> Vec<Span> {
-        Vec::new()
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn push_epoch(&self, _record: EpochRecord) {}
-
-    /// Always empty in this mode.
-    pub fn epochs(&self) -> EpochSeries {
-        EpochSeries::new()
-    }
-
-    /// Always empty in this mode.
-    pub fn trace_events(&self) -> Vec<crate::event::Event> {
-        Vec::new()
-    }
-
-    /// Always `None` in this mode.
-    pub fn summary(&self) -> Option<TelemetrySummary> {
-        None
-    }
-
-    /// Always empty in this mode.
-    pub fn histogram_snapshots(&self) -> Vec<(String, crate::hist::HistogramData)> {
-        Vec::new()
-    }
-}
-
-/// Plain local counter cell: a bare `u64` increment (feature off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Counter(std::cell::Cell<u64>);
-
-#[cfg(not(feature = "enabled"))]
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.set(self.0.get().wrapping_add(1));
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
-    }
-
-    /// Current (handle-local) value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// Plain local gauge cell (feature off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(std::cell::Cell<f64>);
-
-#[cfg(not(feature = "enabled"))]
-impl Gauge {
-    /// Overwrites the (handle-local) value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// Current (handle-local) value.
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-/// No-op histogram handle (feature off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Histogram;
-
-#[cfg(not(feature = "enabled"))]
-impl Histogram {
-    /// No-op.
-    #[inline]
-    pub fn record(&self, _v: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn merge(&self, _batch: &crate::hist::HistogramData) {}
-
-    /// Always 0 in this mode.
-    pub fn percentile(&self, _q: f64) -> f64 {
-        0.0
-    }
-
-    /// Always 0 in this mode.
-    pub fn p50(&self) -> f64 {
-        0.0
-    }
-
-    /// Always 0 in this mode.
-    pub fn p99(&self) -> f64 {
-        0.0
-    }
-}
-
-/// Inert span guard (feature off): every close is a no-op.
-#[cfg(not(feature = "enabled"))]
-#[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
-#[derive(Debug)]
-pub struct ActiveSpan;
-
-/// Inert phase guard (feature off): a zero-sized type with no `Drop`, so
-/// instrumented call sites compile to nothing — in particular, no
-/// `Instant` is ever read.
-#[cfg(not(feature = "enabled"))]
-#[must_use = "bind the guard; the phase is timed until it drops"]
-#[derive(Debug)]
-pub struct PhaseGuard;
-
-#[cfg(not(feature = "enabled"))]
-impl PhaseGuard {
-    /// No-op.
-    #[inline]
-    pub fn finish(self) {}
-}
-
-#[cfg(not(feature = "enabled"))]
-impl ActiveSpan {
-    /// Always 0 in this mode.
-    pub fn id(&self) -> u64 {
-        0
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn end(self, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn end_if_used(self, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn cancel(self) {}
-}
-
-/// Inert speculation token (feature off): a zero-sized type with no
-/// `Drop`, so the quiet path compiles to nothing.
-#[cfg(not(feature = "enabled"))]
-#[must_use = "close the speculation with end()/end_if_used()/cancel()"]
-#[derive(Debug)]
-pub struct Speculation;
-
-#[cfg(not(feature = "enabled"))]
-impl Speculation {
-    /// No-op.
-    #[inline]
-    pub fn end(self, _hub: &Telemetry, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn end_if_used(self, _hub: &Telemetry, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn cancel(self, _hub: &Telemetry) {}
-}
-
-/// Inert leaf-span batch (feature off): zero-sized, records nothing.
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Default)]
-pub struct SpanBatch {
-    _private: (),
-}
-
-#[cfg(not(feature = "enabled"))]
-impl SpanBatch {
-    /// No-op.
-    #[inline]
-    pub fn record(&mut self, _name: &'static str, _start_ps: u64, _end_ps: u64) {}
 }
 
 #[cfg(test)]
@@ -1393,7 +1069,6 @@ mod tests {
         assert_eq!(g.get(), 0.75);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn named_handles_share_state() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1406,7 +1081,6 @@ mod tests {
         assert_eq!(s.counter("shared"), Some(2));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn activates_are_filtered_by_default() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1422,7 +1096,6 @@ mod tests {
         assert_eq!(t2.trace_events().len(), 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_aggregates_every_metric_kind() {
         use crate::epoch::EpochRecord;
@@ -1463,7 +1136,6 @@ mod tests {
         assert_eq!(epochs, vec![0, 1]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_nest_and_record_duration_stats() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1485,7 +1157,6 @@ mod tests {
         assert_eq!(s.histogram("span.child").unwrap().max, 30);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn end_if_used_commits_only_with_children() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1502,7 +1173,6 @@ mod tests {
         assert_eq!(spans[1].name, "speculative");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn cancel_and_drop_record_nothing() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1518,7 +1188,6 @@ mod tests {
         assert_eq!(t.summary().unwrap().spans_recorded, 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn end_clamps_backwards_time() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1527,7 +1196,6 @@ mod tests {
         assert_eq!((s.start_ps, s.end_ps), (100, 100));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_remaps_span_ids_and_parents() {
         let parent = Telemetry::new(TelemetryConfig::default());
@@ -1558,7 +1226,6 @@ mod tests {
         assert!(!ids.contains(&post_id));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn zero_capacity_span_ring_never_panics() {
         let t = Telemetry::new(TelemetryConfig {
@@ -1577,7 +1244,6 @@ mod tests {
         assert_eq!(s.histogram("span.a").unwrap().count, 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_with_disabled_or_self_is_a_no_op() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1588,7 +1254,6 @@ mod tests {
         assert_eq!(t.summary().unwrap().counter("c"), Some(1));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn fork_inherits_config_but_not_state() {
         let t = Telemetry::new(TelemetryConfig {
@@ -1604,19 +1269,35 @@ mod tests {
         assert!(!Telemetry::disabled().fork().is_enabled());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn disabled_handle_records_nothing() {
         let t = Telemetry::disabled();
+        assert!(!t.is_enabled());
         t.record(1, EventKind::EpochRollover { epoch: 0 });
-        assert!(t.summary().is_none());
-        assert!(t.trace_events().is_empty());
         let c = t.counter("x");
         c.inc();
         assert_eq!(c.get(), 0);
+        let h = t.histogram("h");
+        h.record(10);
+        assert_eq!(h.snapshot().count(), 0);
+        t.span_speculate("x", 0).end_if_used(&t, 1);
+        t.span_speculate("y", 0).end(&t, 1);
+        t.span_speculate("z", 0).cancel(&t);
+        t.span_record("leaf", 0, 1);
+        let mut batch = SpanBatch::default();
+        batch.record("leaf", 0, 1);
+        t.flush_span_stats(&mut batch);
+        let live = Telemetry::new(TelemetryConfig::default());
+        live.counter("c").inc();
+        live.phase("p").finish();
+        t.merge_from_prefixed(&live, "p");
+        t.phase("x").finish();
+        let _held = t.phase("y");
+        assert!(t.summary().is_none());
+        assert!(t.trace_events().is_empty());
+        assert!(t.spans().is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn phases_nest_and_account_self_vs_child() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1645,7 +1326,6 @@ mod tests {
         assert_eq!(w.host_wallclock_ns, outer.total_ns);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn phase_finish_closes_early_and_loops_reopen() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1663,7 +1343,6 @@ mod tests {
         assert_eq!(w.phase("run").unwrap().count, 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn open_phases_do_not_leak_into_summary_or_merge() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1682,7 +1361,6 @@ mod tests {
         assert!(w.phase("still_open").is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn phase_counts_merge_deterministically_across_forks() {
         fn exercise(hub: &Telemetry) {
@@ -1701,7 +1379,6 @@ mod tests {
         assert_eq!(w.path("r;c").unwrap().count, 4);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn disabled_handle_phase_is_inert() {
         let t = Telemetry::disabled();
@@ -1710,7 +1387,6 @@ mod tests {
         assert!(t.summary().is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_quiet_path_records_nothing_and_burns_no_id() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1724,7 +1400,6 @@ mod tests {
         root.end(21);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_materializes_via_child_span_start() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1744,7 +1419,6 @@ mod tests {
         assert_eq!(root.parent, None);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_materializes_via_span_record() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1758,7 +1432,6 @@ mod tests {
         assert_eq!(leaf.parent, Some(root.id));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_unconditional_end_commits_as_leaf() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1770,7 +1443,6 @@ mod tests {
         assert_eq!(spans[0].duration_ps(), 4);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_nests_under_open_parent_only_when_used() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1799,7 +1471,6 @@ mod tests {
         assert_eq!(leaf.parent, Some(mid.id));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_cancel_discards_even_when_materialized() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1817,7 +1488,6 @@ mod tests {
         assert_eq!(t.spans().last().unwrap().parent, None);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn superseded_speculative_span_is_discarded_and_stack_stays_clean() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1841,7 +1511,6 @@ mod tests {
         assert_eq!(t.spans().last().unwrap().parent, None);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn span_batch_commits_like_span_record() {
         let direct = Telemetry::new(TelemetryConfig::default());
@@ -1887,7 +1556,6 @@ mod tests {
         assert_eq!(batched.summary().unwrap().spans_recorded, 5);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_from_prefixed_nests_wall_phases_and_credits_child_time() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1919,7 +1587,6 @@ mod tests {
         assert_eq!(w.host_wallclock_ns, root.total_ns);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_from_prefixed_with_empty_prefix_is_flat() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1930,46 +1597,5 @@ mod tests {
         let w = t.summary().unwrap().wallclock.unwrap();
         assert_eq!(w.phase("work").unwrap().count, 1);
         assert_eq!(t.summary().unwrap().counter("c"), Some(1));
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn feature_off_span_batch_and_speculation_are_zero_sized() {
-        assert_eq!(std::mem::size_of::<Speculation>(), 0);
-        assert_eq!(std::mem::size_of::<SpanBatch>(), 0);
-        let t = Telemetry::new(TelemetryConfig::default());
-        t.span_speculate("x", 0).end_if_used(&t, 1);
-        t.span_speculate("y", 0).end(&t, 1);
-        t.span_speculate("z", 0).cancel(&t);
-        let mut batch = SpanBatch::default();
-        batch.record("leaf", 0, 1);
-        t.flush_spans(&mut batch);
-        t.flush_span_stats(&mut batch);
-        t.merge_from_prefixed(&Telemetry::new(TelemetryConfig::default()), "p");
-        assert!(t.summary().is_none());
-        assert!(t.spans().is_empty());
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn feature_off_phase_guard_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<PhaseGuard>(), 0);
-        let t = Telemetry::new(TelemetryConfig::default());
-        let g = t.phase("x");
-        g.finish();
-        let _held = t.phase("y");
-        assert!(t.summary().is_none());
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_is_inert() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        assert!(!t.is_enabled());
-        t.record(1, EventKind::EpochRollover { epoch: 0 });
-        assert!(t.summary().is_none());
-        let h = t.histogram("h");
-        h.record(10);
-        assert_eq!(h.snapshot().count(), 0);
     }
 }

@@ -4,9 +4,8 @@
 //! share:
 //!
 //! * [`Counter`] / [`Gauge`] handles backed by a named registry inside
-//!   [`Telemetry`]. With the `enabled` feature they are shared atomics; with
-//!   it off each handle degrades to its own `Cell`, so instrumented hot
-//!   paths still compile to a bare `u64` increment.
+//!   [`Telemetry`]: shared atomics on a live hub, inert handles on a
+//!   disabled one.
 //! * [`HistogramData`] — log-bucketed (power-of-two) latency histograms with
 //!   p50/p95/p99/max summaries, plus the [`Histogram`] recording handle.
 //! * [`RingBuffer`] + [`EventKind`] — a bounded event trace of typed
@@ -24,7 +23,7 @@
 //! * [`wallclock`] + [`PhaseGuard`] — scoped *host-time* phase timers over
 //!   `std::time::Instant` with a nesting stack, self/child accounting, and
 //!   folded-stacks export; the throughput instrument behind the hot-loop
-//!   speed campaign. Zero-cost (no clock reads) with the feature off.
+//!   speed campaign. A disabled hub reads no clock and takes no lock.
 //! * [`export`] — JSONL and Chrome `about:tracing` writers for all of the
 //!   above, hand-rolled so no serialization dependency is required.
 //! * [`Snapshot`] / [`SnapshotTracker`] — read-only, point-in-time views
@@ -37,9 +36,10 @@
 //!   `u64` stats structs (`Default + AddAssign + aggregate + diff` and
 //!   field iteration from a single field list).
 //!
-//! The raw data structures ([`HistogramData`], [`RingBuffer`],
-//! [`EpochSeries`]) are compiled unconditionally so they stay property-
-//! testable in both feature modes; only the shared-hub plumbing is gated.
+//! There is one build: whether anything is recorded is decided at run
+//! time by attaching a hub or not. Hot loops that must not pay for an
+//! absent hub check [`Telemetry::is_enabled`] once and pick a loop without
+//! hub calls (DESIGN.md section 13).
 
 pub mod alerts;
 pub mod epoch;
@@ -48,7 +48,7 @@ pub mod export;
 pub mod expose;
 pub mod hist;
 pub mod hub;
-mod json;
+pub mod json;
 pub mod ring;
 pub mod snapshot;
 pub mod span;

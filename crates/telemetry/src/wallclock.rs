@@ -4,10 +4,9 @@
 //! module measures *host* nanoseconds, so the hot-loop speed campaign can
 //! see where real time goes and gate on accesses per wallclock second. The
 //! pure accumulation structures here ([`PhaseStats`], [`WallProfile`],
-//! [`WallclockSummary`]) are compiled unconditionally so they stay
-//! property-testable in both feature modes; the actual `Instant`-reading
-//! machinery (the phase stack and [`crate::hub::PhaseGuard`]) lives in the
-//! hub and is feature-gated.
+//! [`WallclockSummary`]) stay free of clocks so they are property-testable;
+//! the actual `Instant`-reading machinery (the phase stack and
+//! [`crate::hub::PhaseGuard`]) lives in the hub.
 //!
 //! Host time is nondeterministic, so [`WallclockSummary`]'s `PartialEq`
 //! deliberately compares only the deterministic shape of a profile — phase

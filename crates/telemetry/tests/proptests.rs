@@ -1,8 +1,4 @@
 //! Property-based tests on the telemetry data structures.
-//!
-//! These run in both feature modes: `HistogramData` and `RingBuffer` are
-//! compiled unconditionally, so `cargo test --no-default-features` exercises
-//! the same properties.
 
 use aqua_telemetry::hist::BUCKET_COUNT;
 use aqua_telemetry::{HistogramData, RingBuffer, Span, WallProfile};
@@ -315,9 +311,7 @@ proptest! {
 }
 
 /// Nested spans through the hub never panic when the span ring has
-/// capacity zero, and the drop accounting stays exact (feature-gated: the
-/// hub only exists with `enabled`).
-#[cfg(feature = "enabled")]
+/// capacity zero, and the drop accounting stays exact.
 #[test]
 fn hub_span_stack_survives_zero_capacity_ring() {
     use aqua_telemetry::{Telemetry, TelemetryConfig};

@@ -10,7 +10,6 @@
 //! under open parents, and `merge_from` of other hubs. After every flush
 //! point the two hubs must hold identical spans, and once the batch's stats
 //! are merged, identical summaries.
-#![cfg(feature = "enabled")]
 
 use aqua_telemetry::{ActiveSpan, SpanBatch, Speculation, Telemetry, TelemetryConfig};
 use proptest::prelude::*;
