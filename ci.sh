@@ -28,8 +28,10 @@ run cargo bench --offline -q -p aqua-bench -- --test
 # Benchmark output gate: perfbench's own tests, then one short seed-42 run
 # of every perfbench workload. Each run checks every cell's report against
 # the one recorded in perfbench/expected/<workload>.tsv, so a change that
-# moves any simulated output byte fails here.
-run cargo test --offline --release --manifest-path perfbench/Cargo.toml
+# moves any simulated output byte fails here. `--locked` makes a workspace
+# manifest change that would rewrite perfbench/Cargo.lock fail here instead
+# of editing the benchmark's lock file.
+run cargo test --offline --locked --release --manifest-path perfbench/Cargo.toml
 for workload in spec-hot suite-quiet attack-flood; do
     echo
     echo "==> perfbench output gate: $workload"

@@ -47,7 +47,7 @@
 
 use aqua_bench::output::{print_table, write_csv};
 use aqua_bench::{Chaos, Harness, RunError, Scheme};
-use aqua_faults::FaultSpec;
+use aqua_faults::{FaultReport, FaultSpec};
 
 fn arg(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -180,22 +180,8 @@ fn main() {
                     let f = report.faults;
                     unaccounted_total += f.unaccounted;
                     row.push("ok".into());
-                    row.extend(
-                        [
-                            f.injected,
-                            f.unsupported,
-                            f.applied,
-                            f.corruptions,
-                            f.recovered_rows,
-                            f.escaped_counted,
-                            f.dormant,
-                            f.unaccounted,
-                            f.engine_recovered,
-                            f.degraded_epochs,
-                            report.integrity_violations,
-                        ]
-                        .map(|v| v.to_string()),
-                    );
+                    row.extend(f.fields().map(|(_, v)| v.to_string()));
+                    row.push(report.integrity_violations.to_string());
                 }
                 Err(err) => {
                     // The classified error kind becomes a deterministic
@@ -215,7 +201,8 @@ fn main() {
                         }
                     };
                     row.push(status);
-                    row.extend((0..11).map(|_| "-".to_string()));
+                    // One filler per fault field plus integrity_violations.
+                    row.extend((0..FaultReport::FIELD_NAMES.len() + 1).map(|_| "-".to_string()));
                 }
             }
             rows.push(row);

@@ -31,8 +31,10 @@
 //! whether a parallel run is gated on one slow channel.
 //!
 //! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel. Both
-//! output files are created before the simulation starts; one that cannot
-//! be created, written or flushed ends the program with exit code 2 and a
+//! output files are created before the simulation starts, as `simulate`
+//! creates its outputs: only `target/experiments` is made if missing, so a
+//! flag naming a path in a missing directory, or any file that cannot be
+//! created, written or flushed, ends the program with exit code 2 and a
 //! line naming its flag and path.
 
 use aqua_bench::output::{write_csv_instrumented, OutputFile};
@@ -102,8 +104,11 @@ fn main() {
     let t_rh: u64 = arg("--trh").and_then(|v| v.parse().ok()).unwrap_or(1000);
     let folded_path = arg("--folded").unwrap_or_else(|| "target/experiments/profile.folded".into());
     let jsonl_path = arg("--jsonl").unwrap_or_else(|| "target/experiments/profile.jsonl".into());
-    let mut folded = create_output("--folded", folded_path);
-    let mut jsonl = create_output("--jsonl", jsonl_path);
+    // The default outputs and the CSV live here; a directory a flag names
+    // must already exist.
+    let _ = std::fs::create_dir_all("target/experiments");
+    let mut folded = OutputFile::create("--folded", folded_path);
+    let mut jsonl = OutputFile::create("--jsonl", jsonl_path);
 
     let channels: u32 = arg("--channels").and_then(|v| v.parse().ok()).unwrap_or(1);
     if channels == 0 {
@@ -241,12 +246,4 @@ fn print_shard_imbalance(paths: &[(String, PhaseStats)]) {
         ms(max),
         ratio
     );
-}
-
-/// Creates the file that output flag `flag` names, and its directory.
-fn create_output(flag: &'static str, path: String) -> OutputFile {
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    OutputFile::create(flag, path)
 }

@@ -386,15 +386,9 @@ pub fn report_to_json(r: &RunReport) -> String {
     push_u64(&mut out, "migration_busy_ps", r.migration_busy.as_ps());
     push_u64(&mut out, "table_busy_ps", r.table_busy.as_ps());
     out.push_str(",\"mitigation\":{");
-    push_u64(&mut out, "row_migrations", r.mitigation.row_migrations);
-    push_u64(
-        &mut out,
-        "mitigations_triggered",
-        r.mitigation.mitigations_triggered,
-    );
-    push_u64(&mut out, "victim_refreshes", r.mitigation.victim_refreshes);
-    push_u64(&mut out, "throttled", r.mitigation.throttled);
-    push_u64(&mut out, "violations", r.mitigation.violations);
+    for (name, v) in r.mitigation.fields() {
+        push_u64(&mut out, name, v);
+    }
     out.push_str("},\"oracle\":{");
     push_u64(
         &mut out,
@@ -411,16 +405,9 @@ pub fn report_to_json(r: &RunReport) -> String {
     out.push('}');
     push_u64(&mut out, "integrity_violations", r.integrity_violations);
     out.push_str(",\"faults\":{");
-    push_u64(&mut out, "injected", r.faults.injected);
-    push_u64(&mut out, "unsupported", r.faults.unsupported);
-    push_u64(&mut out, "applied", r.faults.applied);
-    push_u64(&mut out, "corruptions", r.faults.corruptions);
-    push_u64(&mut out, "recovered_rows", r.faults.recovered_rows);
-    push_u64(&mut out, "escaped_counted", r.faults.escaped_counted);
-    push_u64(&mut out, "dormant", r.faults.dormant);
-    push_u64(&mut out, "unaccounted", r.faults.unaccounted);
-    push_u64(&mut out, "engine_recovered", r.faults.engine_recovered);
-    push_u64(&mut out, "degraded_epochs", r.faults.degraded_epochs);
+    for (name, v) in r.faults.fields() {
+        push_u64(&mut out, name, v);
+    }
     out.push_str("}}");
     out
 }
@@ -480,13 +467,9 @@ pub fn report_from_json(value: &JsonValue) -> Result<RunReport, String> {
         data_busy: Duration::from_ps(get_u64(obj, "data_busy_ps")?),
         migration_busy: Duration::from_ps(get_u64(obj, "migration_busy_ps")?),
         table_busy: Duration::from_ps(get_u64(obj, "table_busy_ps")?),
-        mitigation: aqua_dram::mitigation::MitigationStats {
-            row_migrations: get_u64(mit, "row_migrations")?,
-            mitigations_triggered: get_u64(mit, "mitigations_triggered")?,
-            victim_refreshes: get_u64(mit, "victim_refreshes")?,
-            throttled: get_u64(mit, "throttled")?,
-            violations: get_u64(mit, "violations")?,
-        },
+        mitigation: aqua_dram::mitigation::MitigationStats::try_from_fields(|name| {
+            get_u64(mit, name)
+        })?,
         oracle: aqua_sim::OracleSummary {
             max_window_activations: get_u64(oracle, "max_window_activations")?,
             rows_over_trh: get_u64(oracle, "rows_over_trh")?,
@@ -498,18 +481,7 @@ pub fn report_from_json(value: &JsonValue) -> Result<RunReport, String> {
             epochs: get_u64(oracle, "epochs")?,
         },
         integrity_violations: get_u64(obj, "integrity_violations")?,
-        faults: aqua_faults::FaultReport {
-            injected: get_u64(faults, "injected")?,
-            unsupported: get_u64(faults, "unsupported")?,
-            applied: get_u64(faults, "applied")?,
-            corruptions: get_u64(faults, "corruptions")?,
-            recovered_rows: get_u64(faults, "recovered_rows")?,
-            escaped_counted: get_u64(faults, "escaped_counted")?,
-            dormant: get_u64(faults, "dormant")?,
-            unaccounted: get_u64(faults, "unaccounted")?,
-            engine_recovered: get_u64(faults, "engine_recovered")?,
-            degraded_epochs: get_u64(faults, "degraded_epochs")?,
-        },
+        faults: aqua_faults::FaultReport::try_from_fields(|name| get_u64(faults, name))?,
         telemetry: None,
     })
 }

@@ -272,11 +272,7 @@ fn merge_reports(reports: Vec<RunReport>) -> RunReport {
         merged.data_busy += r.data_busy;
         merged.migration_busy += r.migration_busy;
         merged.table_busy += r.table_busy;
-        merged.mitigation.row_migrations += r.mitigation.row_migrations;
-        merged.mitigation.mitigations_triggered += r.mitigation.mitigations_triggered;
-        merged.mitigation.victim_refreshes += r.mitigation.victim_refreshes;
-        merged.mitigation.throttled += r.mitigation.throttled;
-        merged.mitigation.violations += r.mitigation.violations;
+        merged.mitigation += r.mitigation;
         merged.oracle.max_window_activations = merged
             .oracle
             .max_window_activations
@@ -288,16 +284,7 @@ fn merge_reports(reports: Vec<RunReport>) -> RunReport {
         merged.oracle.avg_rows_500 += r.oracle.avg_rows_500;
         merged.oracle.avg_rows_1000 += r.oracle.avg_rows_1000;
         merged.integrity_violations += r.integrity_violations;
-        merged.faults.injected += r.faults.injected;
-        merged.faults.unsupported += r.faults.unsupported;
-        merged.faults.applied += r.faults.applied;
-        merged.faults.corruptions += r.faults.corruptions;
-        merged.faults.recovered_rows += r.faults.recovered_rows;
-        merged.faults.escaped_counted += r.faults.escaped_counted;
-        merged.faults.dormant += r.faults.dormant;
-        merged.faults.unaccounted += r.faults.unaccounted;
-        merged.faults.engine_recovered += r.faults.engine_recovered;
-        merged.faults.degraded_epochs += r.faults.degraded_epochs;
+        merged.faults += r.faults;
     }
     merged
 }

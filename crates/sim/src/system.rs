@@ -426,7 +426,7 @@ impl<M: Mitigation> Simulation<M> {
         self.action_scratch = actions;
         if let Some(sp) = sp {
             let busy_until = self.channel.blocked_until().max(completion).max(at);
-            sp.end(&self.telemetry, busy_until.as_ps());
+            sp.end_if_used(&self.telemetry, busy_until.as_ps());
         }
         completion
     }
@@ -853,7 +853,7 @@ impl<M: Mitigation> Simulation<M> {
                     } else {
                         self.apply_actions::<HUB>(&mut actions, next_tick, next_tick);
                         if let Some(sp) = sp {
-                            sp.end(
+                            sp.end_if_used(
                                 &self.telemetry,
                                 self.channel.blocked_until().max(next_tick).as_ps(),
                             );

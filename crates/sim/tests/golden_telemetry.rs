@@ -1,11 +1,13 @@
 //! Golden telemetry: the exported streams of a short hub-attached
 //! migration flood, pinned by byte length and FNV-1a digest.
 //!
-//! Two schemes (memory-mapped AQUA and RRS) run the section VI-C
-//! `MigrationFlood` on two sharded channels for two epochs, at one and at
-//! two shard workers, with seeded faults and, for AQUA, background RQA
-//! draining on refresh ticks, so spans come from every place the
-//! simulator and the engines record them. The span JSONL, the full Chrome
+//! Four schemes (memory-mapped AQUA, RRS, victim refresh and Blockhammer)
+//! run the section VI-C `MigrationFlood` on two sharded channels for two
+//! epochs, at one and at two shard workers, with seeded faults and, for
+//! AQUA, background RQA draining on refresh ticks, so spans come from
+//! every place the simulator and the engines record them: migrations and
+//! table writes, victim refreshes, throttles, and the speculative roots
+//! each of them materializes. The span JSONL, the full Chrome
 //! trace (events plus spans), the event JSONL and the summary must
 //! reproduce the recorded bytes exactly, as must `spans_recorded`. Any
 //! change to how the simulator records spans (ids, parent links, ring
@@ -13,7 +15,8 @@
 //! unless it is byte-for-byte invisible.
 
 use aqua::{AquaConfig, AquaEngine};
-use aqua_dram::mitigation::Mitigation;
+use aqua_baselines::{Blockhammer, BlockhammerConfig, VictimRefresh, VictimRefreshConfig};
+use aqua_dram::mitigation::{Mitigation, MitigationStats};
 use aqua_dram::BaselineConfig;
 use aqua_faults::FaultSpec;
 use aqua_rrs::{RrsConfig, RrsEngine};
@@ -79,10 +82,14 @@ fn flood(threshold: u64, channel: u32) -> Vec<Box<dyn RequestGenerator>> {
     ]
 }
 
+/// Runs the flood with a hub attached and returns the hub. `acted` reads
+/// the statistic that proves the scheme did its work (migrations, victim
+/// refreshes or throttles), so its spans are in the exports.
 fn run_hub<M: Mitigation>(
     engine: impl FnMut(u32) -> M,
     threshold: u64,
     workers: usize,
+    acted: fn(&MitigationStats) -> u64,
 ) -> Telemetry {
     let cfg = SimConfig::new(base())
         .epochs(2)
@@ -97,14 +104,15 @@ fn run_hub<M: Mitigation>(
     // a difference anywhere in the run shows in the exports.
     let hub = Telemetry::new(TelemetryConfig {
         trace_capacity: 1 << 18,
-        span_capacity: 1 << 18,
+        span_capacity: 1 << 19,
         ..TelemetryConfig::default()
     });
     sim.attach_telemetry(hub.clone());
     let report = sim.run();
     assert!(
-        report.mitigation.row_migrations > 0,
-        "the flood must migrate"
+        acted(&report.mitigation) > 0,
+        "the flood must make {} act",
+        report.scheme
     );
     hub
 }
@@ -166,6 +174,19 @@ fn rrs(_channel: u32) -> RrsEngine {
     RrsEngine::new(cfg)
 }
 
+fn victim_refresh(_channel: u32) -> VictimRefresh {
+    let mut cfg = VictimRefreshConfig::for_rowhammer_threshold(T_RH);
+    cfg.tracker_entries_per_bank = 256;
+    VictimRefresh::new(cfg, BaselineConfig::tiny().geometry)
+}
+
+fn blockhammer(_channel: u32) -> Blockhammer {
+    Blockhammer::new(
+        BlockhammerConfig::for_rowhammer_threshold(T_RH),
+        BaselineConfig::tiny().geometry,
+    )
+}
+
 /// Recorded with every leaf span committed by its own `span_record` call,
 /// the reference that batched recording must reproduce.
 const AQUA_MAPPED: Golden = Golden {
@@ -208,10 +229,50 @@ const RRS: Golden = Golden {
     spans_recorded: 134_269,
 };
 
+const VICTIM_REFRESH: Golden = Golden {
+    spans_jsonl: Digest {
+        len: 29_004_361,
+        fnv: 0x78de_4ed6_cb65_e425,
+    },
+    chrome_trace: Digest {
+        len: 30_448_409,
+        fnv: 0x0b1b_4655_a626_95c9,
+    },
+    events_jsonl: Digest {
+        len: 2_185,
+        fnv: 0x4254_f9e9_e911_f2ab,
+    },
+    summary: Digest {
+        len: 1_018,
+        fnv: 0x7e3e_55b8_4ea9_22c9,
+    },
+    spans_recorded: 269_916,
+};
+
+const BLOCKHAMMER: Golden = Golden {
+    spans_jsonl: Digest {
+        len: 942_095,
+        fnv: 0xd051_94c3_cc09_f6b2,
+    },
+    chrome_trace: Digest {
+        len: 1_016_376,
+        fnv: 0xb267_cedb_3851_a2e1,
+    },
+    events_jsonl: Digest {
+        len: 16_723,
+        fnv: 0xdb83_e4be_a47d_e03b,
+    },
+    summary: Digest {
+        len: 1_065,
+        fnv: 0x2a19_79b6_94b5_eda0,
+    },
+    spans_recorded: 8_984,
+};
+
 #[test]
 fn aqua_mapped_flood_exports_are_golden() {
     for workers in [1, 2] {
-        let got = golden_of(&run_hub(aqua_mapped, 500, workers));
+        let got = golden_of(&run_hub(aqua_mapped, 500, workers, |m| m.row_migrations));
         assert_eq!(got, AQUA_MAPPED, "aqua-mapped at {workers} shard workers");
     }
 }
@@ -219,7 +280,28 @@ fn aqua_mapped_flood_exports_are_golden() {
 #[test]
 fn rrs_flood_exports_are_golden() {
     for workers in [1, 2] {
-        let got = golden_of(&run_hub(rrs, 166, workers));
+        let got = golden_of(&run_hub(rrs, 166, workers, |m| m.row_migrations));
         assert_eq!(got, RRS, "rrs at {workers} shard workers");
+    }
+}
+
+#[test]
+fn victim_refresh_flood_exports_are_golden() {
+    for workers in [1, 2] {
+        let got = golden_of(&run_hub(victim_refresh, 500, workers, |m| {
+            m.victim_refreshes
+        }));
+        assert_eq!(
+            got, VICTIM_REFRESH,
+            "victim-refresh at {workers} shard workers"
+        );
+    }
+}
+
+#[test]
+fn blockhammer_flood_exports_are_golden() {
+    for workers in [1, 2] {
+        let got = golden_of(&run_hub(blockhammer, 500, workers, |m| m.throttled));
+        assert_eq!(got, BLOCKHAMMER, "blockhammer at {workers} shard workers");
     }
 }

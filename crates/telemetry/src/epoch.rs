@@ -31,13 +31,6 @@ pub struct EpochRecord {
     pub gauges: Vec<(String, f64)>,
 }
 
-impl EpochRecord {
-    /// Looks up a scheme-specific gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-}
-
 /// An append-only series of [`EpochRecord`]s.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochSeries {
@@ -70,11 +63,6 @@ impl EpochSeries {
         &self.records
     }
 
-    /// Sums a fixed counter field across all epochs via `f`.
-    pub fn total<F: Fn(&EpochRecord) -> u64>(&self, f: F) -> u64 {
-        self.records.iter().map(f).sum()
-    }
-
     /// Appends all of `other`'s records after this series' own, preserving
     /// `other`'s internal order (used when per-job series from a parallel
     /// run are stitched together in deterministic job order).
@@ -86,17 +74,6 @@ impl EpochSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gauges_resolve_by_name() {
-        let rec = EpochRecord {
-            epoch: 1,
-            gauges: vec![("rqa_occupancy".into(), 0.25)],
-            ..Default::default()
-        };
-        assert_eq!(rec.gauge("rqa_occupancy"), Some(0.25));
-        assert_eq!(rec.gauge("missing"), None);
-    }
 
     #[test]
     fn merge_appends_in_order() {
@@ -112,18 +89,6 @@ mod tests {
         a.merge_from(&b);
         let epochs: Vec<u64> = a.records().iter().map(|r| r.epoch).collect();
         assert_eq!(epochs, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn totals_sum_across_epochs() {
-        let mut s = EpochSeries::new();
-        for migrations in [2u64, 3, 5] {
-            s.push(EpochRecord {
-                migrations,
-                ..Default::default()
-            });
-        }
-        assert_eq!(s.total(|r| r.migrations), 10);
-        assert_eq!(s.len(), 3);
+        assert_eq!(a.len(), 3);
     }
 }

@@ -19,20 +19,12 @@ fn ps_to_us(ps: u64) -> f64 {
     ps as f64 / 1e6
 }
 
-/// Writes events as a Chrome-loadable trace (`chrome://tracing`, Perfetto).
-pub fn write_chrome_trace<'a, W, I>(w: &mut W, events: I) -> io::Result<()>
-where
-    W: Write,
-    I: IntoIterator<Item = &'a Event>,
-{
-    write_chrome_trace_full(w, events, &[])
-}
-
-/// Writes instant events plus completed spans as one Chrome-loadable trace.
+/// Writes instant events plus completed spans as one Chrome-loadable trace
+/// (`chrome://tracing`, Perfetto).
 ///
-/// Spans become complete events (`"ph":"X"`) carrying their id and parent
-/// id in `args`, so the causal tree survives the export; instant events keep
-/// the `"ph":"i"` shape [`write_chrome_trace`] emits.
+/// Events become instant events (`"ph":"i"`); spans become complete events
+/// (`"ph":"X"`) carrying their id and parent id in `args`, so the causal
+/// tree survives the export.
 pub fn write_chrome_trace_full<'a, W, I>(w: &mut W, events: I, spans: &[Span]) -> io::Result<()>
 where
     W: Write,
@@ -213,7 +205,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_expected_shape() {
         let mut out = Vec::new();
-        write_chrome_trace(&mut out, events().iter()).unwrap();
+        write_chrome_trace_full(&mut out, events().iter(), &[]).unwrap();
         let s = String::from_utf8(out).unwrap();
         assert!(s.starts_with("{\"displayTimeUnit\""), "{s}");
         assert!(s.contains("\"traceEvents\":["), "{s}");

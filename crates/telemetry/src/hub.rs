@@ -8,6 +8,13 @@
 //! simulator's serve loop goes further: it checks
 //! [`Telemetry::is_enabled`] once per run and, without a hub, runs a copy
 //! of its loop that makes none of these calls (DESIGN.md section 13).
+//!
+//! Causal spans have one closer per kind. An eager [`ActiveSpan`] guard
+//! ends with [`ActiveSpan::end`] or [`ActiveSpan::cancel`], and dropping
+//! it cancels. A speculative root's [`Speculation`] token ends with
+//! [`Speculation::end_if_used`], which commits the root only if a child
+//! span materialized it. Finished leaves go through
+//! [`Telemetry::span_record`] one at a time or a [`SpanBatch`] in bulk.
 
 use crate::epoch::{EpochRecord, EpochSeries};
 use crate::event::{Event, EventKind};
@@ -134,11 +141,6 @@ impl WallTrack {
 struct OpenSpan {
     id: u64,
     parent: Option<u64>,
-    /// Whether any child span started while this one was innermost — the
-    /// signal [`ActiveSpan::end_if_used`] keys on, letting the simulator
-    /// open a speculative root around every mitigation consultation and
-    /// commit it only when the engine actually did something.
-    used: bool,
 }
 
 /// All mutable span state, behind one lock so begin/end stay atomic.
@@ -161,22 +163,17 @@ impl SpanTrack {
     }
 
     /// Takes the next span id for a span nesting under the innermost open
-    /// span, and marks that span used. Returns the id and the parent.
+    /// span. Returns the id and the parent.
     fn next_child(&mut self) -> (u64, Option<u64>) {
         let id = self.next_id;
         self.next_id += 1;
-        let parent = self.stack.last_mut().map(|top| {
-            top.used = true;
-            top.id
-        });
-        (id, parent)
+        (id, self.stack.last().map(|top| top.id))
     }
 
     /// Commits one finished leaf span without touching the per-name stats:
-    /// takes the next id, nests under (and marks used) the innermost open
-    /// span, and pushes the span into the ring. The caller materializes an
-    /// armed speculative span first. Returns the duration for the caller's
-    /// stats.
+    /// takes the next id, nests under the innermost open span, and pushes
+    /// the span into the ring. The caller materializes an armed speculative
+    /// span first. Returns the duration for the caller's stats.
     fn push_leaf(&mut self, name: &'static str, start_ps: u64, end_ps: u64) -> u64 {
         let (id, parent) = self.next_child();
         let span = Span {
@@ -193,11 +190,7 @@ impl SpanTrack {
     /// [`SpanTrack::next_child`], pushed as the innermost open span.
     fn open_child(&mut self) -> u64 {
         let (id, parent) = self.next_child();
-        self.stack.push(OpenSpan {
-            id,
-            parent,
-            used: false,
-        });
+        self.stack.push(OpenSpan { id, parent });
         id
     }
 
@@ -210,22 +203,11 @@ impl SpanTrack {
 
     /// Closes the open span `id` and commits it ending at `end_ps` (clamped
     /// to `start_ps`), recording its duration under `name`. Nothing is
-    /// committed if `id` is no longer open, or if `require_used` is set and
-    /// no child attached.
-    fn close(
-        &mut self,
-        id: u64,
-        name: &'static str,
-        start_ps: u64,
-        end_ps: u64,
-        require_used: bool,
-    ) {
+    /// committed if `id` is no longer open.
+    fn close(&mut self, id: u64, name: &'static str, start_ps: u64, end_ps: u64) {
         let Some(open) = self.remove_open(id) else {
             return;
         };
-        if require_used && !open.used {
-            return;
-        }
         let span = Span {
             id,
             parent: open.parent,
@@ -308,8 +290,8 @@ impl Telemetry {
     }
 
     /// Like [`Telemetry::merge_from`], but parks `other`'s completed
-    /// wallclock phases *under* `wall_prefix` instead of merging them at the
-    /// root.
+    /// wallclock phases *under* the non-empty path `wall_prefix` instead of
+    /// merging them at the root.
     ///
     /// Each of `other`'s paths lands at `{wall_prefix};{path}`, a synthetic
     /// all-child occurrence is recorded at `wall_prefix` itself, and the
@@ -372,7 +354,7 @@ impl Telemetry {
         let theirs_wall = b.wall.lock().unwrap();
         let mut w = a.wall.lock().unwrap();
         match wall_prefix {
-            None | Some("") => w.profile.merge(&theirs_wall.profile),
+            None => w.profile.merge(&theirs_wall.profile),
             Some(prefix) => {
                 let root_total = w.profile.merge_nested(prefix, &theirs_wall.profile);
                 if let Some(top) = w.stack.last_mut() {
@@ -443,8 +425,7 @@ impl Telemetry {
     ///
     /// The span's parent is whatever span is innermost on this hub's causal
     /// stack at call time; the returned guard closes it via
-    /// [`ActiveSpan::end`] (commit), [`ActiveSpan::cancel`] (discard), or
-    /// [`ActiveSpan::end_if_used`] (commit only if a child attached).
+    /// [`ActiveSpan::end`] (commit) or [`ActiveSpan::cancel`] (discard).
     /// Dropping the guard without ending it cancels the span, so early
     /// returns never wedge the stack.
     pub fn span_start(&self, name: &'static str, start_ps: u64) -> ActiveSpan {
@@ -512,53 +493,16 @@ impl Telemetry {
         }
     }
 
-    /// Closes the speculation `spec`: commits it ending at `end_ps`, or
-    /// discards it when `end_ps` is `None` or when `require_used` is set
-    /// and it never materialized.
-    fn close_speculation(&self, spec: Speculation, end_ps: Option<u64>, require_used: bool) {
-        let Some(i) = &self.inner else {
-            return;
-        };
-        // Disarm the slot, but only if it is still ours: a later
-        // span_speculate supersedes this token (and already cleaned up any
-        // materialized residue), so a stale token is a no-op.
-        if spec.token == 0 || i.spec_token.load(Ordering::Relaxed) != spec.token {
-            return;
-        }
-        i.spec_token.store(0, Ordering::Relaxed);
-        let id = i.spec_id.load(Ordering::Relaxed);
-        if id == 0 {
-            // Never materialized: nothing is on the stack. A conditional
-            // close or a cancel discards for free; an unconditional end
-            // commits as a leaf now (equivalent to span_record).
-            if !require_used {
-                if let Some(end_ps) = end_ps {
-                    self.span_record(spec.name, spec.start_ps, end_ps);
-                }
-            }
-            return;
-        }
-        i.spec_id.store(0, Ordering::Relaxed);
-        // Materialized, which implies a child attached ("used"), so both
-        // end() and end_if_used() commit; only cancel discards.
-        let mut sp = i.spans.lock().unwrap();
-        match end_ps {
-            Some(end_ps) => sp.close(id, spec.name, spec.start_ps, end_ps, false),
-            None => {
-                sp.remove_open(id);
-            }
-        }
-    }
-
     /// Records an already-finished leaf span in a single lock acquisition.
     ///
     /// Equivalent to `span_start(name, start_ps).end(end_ps)` for spans
-    /// that never take children: the recorded span's parent is the innermost
-    /// open span and the enclosing span is marked used. The simulator's
-    /// per-action spans (migration windows, table writes, victim refreshes,
-    /// throttles) use this; the per-access leaves (queue waits, bank blocks)
-    /// go through a lock-free [`SpanBatch`] instead, and this stays the
-    /// reference path that [`Telemetry::flush_spans`] reproduces.
+    /// that never take children: an armed speculative span materializes
+    /// first, and the recorded span's parent is the innermost open span.
+    /// The simulator's per-action spans (migration windows, table writes,
+    /// victim refreshes, throttles) use this; the per-access leaves (queue
+    /// waits, bank blocks) go through a lock-free [`SpanBatch`] instead,
+    /// and this stays the reference path that [`Telemetry::flush_spans`]
+    /// reproduces.
     pub fn span_record(&self, name: &'static str, start_ps: u64, end_ps: u64) {
         let Some(i) = &self.inner else {
             return;
@@ -572,10 +516,10 @@ impl Telemetry {
     /// Commits `batch`'s pending leaf spans under one spans lock, in record
     /// order, exactly as [`Telemetry::span_record`] would have at the time
     /// of the flush: the first materializes an armed speculative span, and
-    /// each takes the next id, nests under the innermost open span and
-    /// marks it used.
+    /// each takes the next id and nests under the innermost open span.
     /// Their per-name duration stats stay in the batch until
-    /// [`Telemetry::flush_span_stats`].
+    /// [`Telemetry::flush_span_stats`], so a caller that flushes per
+    /// activation does not merge histograms per activation.
     ///
     /// Spans take ids from the hub in commit order, so a caller that
     /// records into a batch must flush it before anything else records a
@@ -831,24 +775,6 @@ impl Histogram {
         }
     }
 
-    /// The `q`-quantile of recorded samples (0 for detached handles).
-    pub fn percentile(&self, q: f64) -> f64 {
-        self.0
-            .as_ref()
-            .map(|h| h.lock().unwrap().percentile(q))
-            .unwrap_or(0.0)
-    }
-
-    /// Median shorthand for [`Histogram::percentile`]`(0.50)`.
-    pub fn p50(&self) -> f64 {
-        self.percentile(0.50)
-    }
-
-    /// 99th-percentile shorthand for [`Histogram::percentile`]`(0.99)`.
-    pub fn p99(&self) -> f64 {
-        self.percentile(0.99)
-    }
-
     /// Snapshot of the underlying data (empty for detached handles).
     pub fn snapshot(&self) -> HistogramData {
         self.0
@@ -860,10 +786,10 @@ impl Histogram {
 
 /// Guard for a span opened with [`Telemetry::span_start`].
 ///
-/// Exactly one of [`ActiveSpan::end`], [`ActiveSpan::end_if_used`], or
-/// [`ActiveSpan::cancel`] should close it; dropping the guard unclosed is
-/// equivalent to `cancel` (nothing is recorded).
-#[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
+/// [`ActiveSpan::end`] commits it and [`ActiveSpan::cancel`] discards it;
+/// dropping the guard unclosed is equivalent to `cancel` (nothing is
+/// recorded), so an early return never leaves the span on the stack.
+#[must_use = "bind the span and close it with end() or cancel()"]
 pub struct ActiveSpan {
     inner: Option<Arc<Inner>>,
     id: u64,
@@ -889,27 +815,21 @@ impl ActiveSpan {
 
     /// Commits the span, ending at `end_ps` (clamped to the start time).
     pub fn end(mut self, end_ps: u64) {
-        self.close(Some(end_ps), false);
-    }
-
-    /// Commits the span only if a child span attached while it was open;
-    /// discards it otherwise.
-    pub fn end_if_used(mut self, end_ps: u64) {
-        self.close(Some(end_ps), true);
+        self.close(Some(end_ps));
     }
 
     /// Discards the span without recording anything.
     pub fn cancel(mut self) {
-        self.close(None, false);
+        self.close(None);
     }
 
-    fn close(&mut self, end_ps: Option<u64>, require_used: bool) {
+    fn close(&mut self, end_ps: Option<u64>) {
         let Some(i) = self.inner.take() else {
             return;
         };
         let mut sp = i.spans.lock().unwrap();
         match end_ps {
-            Some(end_ps) => sp.close(self.id, self.name, self.start_ps, end_ps, require_used),
+            Some(end_ps) => sp.close(self.id, self.name, self.start_ps, end_ps),
             None => {
                 sp.remove_open(self.id);
             }
@@ -919,7 +839,7 @@ impl ActiveSpan {
 
 impl Drop for ActiveSpan {
     fn drop(&mut self) {
-        self.close(None, false);
+        self.close(None);
     }
 }
 
@@ -927,12 +847,10 @@ impl Drop for ActiveSpan {
 ///
 /// A plain value: it holds no reference to the hub and has no `Drop`, so
 /// arming and the quiet close touch nothing but the hub's relaxed
-/// speculation slot. Close it on the hub that armed it:
-/// [`Speculation::end`] commits, [`Speculation::end_if_used`] commits
-/// only if a child attached (and for a span that never materialized
-/// touches no lock), [`Speculation::cancel`] discards. A token that is
-/// never closed stays armed until the next `span_speculate` supersedes it.
-#[must_use = "close the speculation with end()/end_if_used()/cancel()"]
+/// speculation slot. Its one closer, [`Speculation::end_if_used`], takes
+/// the hub that armed it. A token that is never closed stays armed until
+/// the next `span_speculate` supersedes it.
+#[must_use = "close the speculation with end_if_used()"]
 #[derive(Debug)]
 pub struct Speculation {
     token: u64,
@@ -941,24 +859,33 @@ pub struct Speculation {
 }
 
 impl Speculation {
-    /// Commits the span on `hub`, ending at `end_ps` (clamped to the start
-    /// time). If it never materialized it commits as a leaf, taking the
-    /// lock once.
-    pub fn end(self, hub: &Telemetry, end_ps: u64) {
-        hub.close_speculation(self, Some(end_ps), false);
-    }
-
-    /// Commits the span on `hub` only if a child span attached while it was
-    /// armed; discards it otherwise with relaxed loads and stores alone,
+    /// Closes the span on `hub`. If a child span materialized it, commits
+    /// it ending at `end_ps` (clamped to the start time) under one spans
+    /// lock; otherwise disarms it with relaxed loads and stores alone,
     /// which makes this the free-when-quiet closer hot loops pair with
-    /// [`Telemetry::span_speculate`].
+    /// [`Telemetry::span_speculate`]. A token superseded by a later
+    /// `span_speculate` closes as a no-op.
     pub fn end_if_used(self, hub: &Telemetry, end_ps: u64) {
-        hub.close_speculation(self, Some(end_ps), true);
-    }
-
-    /// Discards the span without recording anything.
-    pub fn cancel(self, hub: &Telemetry) {
-        hub.close_speculation(self, None, false);
+        let Some(i) = &hub.inner else {
+            return;
+        };
+        // Disarm the slot, but only if it is still ours: a later
+        // span_speculate supersedes this token (and already cleaned up any
+        // materialized residue).
+        if i.spec_token.load(Ordering::Relaxed) != self.token {
+            return;
+        }
+        i.spec_token.store(0, Ordering::Relaxed);
+        let id = i.spec_id.load(Ordering::Relaxed);
+        if id == 0 {
+            // Never materialized: nothing is on the stack.
+            return;
+        }
+        i.spec_id.store(0, Ordering::Relaxed);
+        i.spans
+            .lock()
+            .unwrap()
+            .close(id, self.name, self.start_ps, end_ps);
     }
 }
 
@@ -1160,14 +1087,13 @@ mod tests {
     #[test]
     fn end_if_used_commits_only_with_children() {
         let t = Telemetry::new(TelemetryConfig::default());
-        let unused = t.span_start("speculative", 0);
-        unused.end_if_used(10);
+        t.span_speculate("speculative", 0).end_if_used(&t, 10);
         assert!(t.spans().is_empty());
 
-        let used = t.span_start("speculative", 20);
+        let used = t.span_speculate("speculative", 20);
         let child = t.span_start("work", 21);
         child.end(25);
-        used.end_if_used(30);
+        used.end_if_used(&t, 30);
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].name, "speculative");
@@ -1281,8 +1207,6 @@ mod tests {
         h.record(10);
         assert_eq!(h.snapshot().count(), 0);
         t.span_speculate("x", 0).end_if_used(&t, 1);
-        t.span_speculate("y", 0).end(&t, 1);
-        t.span_speculate("z", 0).cancel(&t);
         t.span_record("leaf", 0, 1);
         let mut batch = SpanBatch::default();
         batch.record("leaf", 0, 1);
@@ -1433,59 +1357,32 @@ mod tests {
     }
 
     #[test]
-    fn speculative_unconditional_end_commits_as_leaf() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let sp = t.span_speculate("solo", 5);
-        sp.end(&t, 9);
-        let spans = t.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!((spans[0].name, spans[0].parent), ("solo", None));
-        assert_eq!(spans[0].duration_ps(), 4);
-    }
-
-    #[test]
     fn speculative_nests_under_open_parent_only_when_used() {
         let t = Telemetry::new(TelemetryConfig::default());
-        // Quiet speculative span inside a conditional root: the root stays
-        // unused and is discarded by its own end_if_used.
+        // A quiet speculative span inside an open parent leaves only the
+        // parent.
         let outer = t.span_start("outer", 0);
         let quiet = t.span_speculate("quiet", 1);
         quiet.end_if_used(&t, 2);
-        outer.end_if_used(3);
-        assert!(t.spans().is_empty());
+        outer.end(3);
+        let names: Vec<&str> = t.spans().iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["outer"]);
 
-        // A used speculative span nests under the open parent and marks it
-        // used.
+        // A used speculative span nests under the open parent.
         let outer = t.span_start("outer", 10);
         let sp = t.span_speculate("mid", 11);
         let leaf = t.span_start("leaf", 12);
         leaf.end(13);
         sp.end_if_used(&t, 14);
-        outer.end_if_used(15);
-        let spans = t.spans();
+        outer.end(15);
+        let all = t.spans();
+        let spans = &all[1..];
         assert_eq!(spans.len(), 3);
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
         let mid = spans.iter().find(|s| s.name == "mid").unwrap();
         let leaf = spans.iter().find(|s| s.name == "leaf").unwrap();
         assert_eq!(mid.parent, Some(outer.id));
         assert_eq!(leaf.parent, Some(mid.id));
-    }
-
-    #[test]
-    fn speculative_cancel_discards_even_when_materialized() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let sp = t.span_speculate("a", 0);
-        t.span_record("child", 1, 2);
-        sp.cancel(&t);
-        let quiet = t.span_speculate("b", 10);
-        quiet.cancel(&t);
-        let spans = t.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "child");
-        // The stack is clean: a new root has no parent.
-        let root = t.span_start("c", 20);
-        root.end(21);
-        assert_eq!(t.spans().last().unwrap().parent, None);
     }
 
     #[test]
@@ -1496,7 +1393,7 @@ mod tests {
         let second = t.span_speculate("second", 10); // supersedes `first`
         t.span_record("c2", 11, 12); // materializes `second`
         second.end_if_used(&t, 20);
-        first.end(&t, 30); // superseded: must be a no-op
+        first.end_if_used(&t, 30); // superseded: must be a no-op
         let spans = t.spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["c1", "c2", "second"]);
@@ -1585,17 +1482,5 @@ mod tests {
         // time, and only the coordinator's real elapsed time is the root.
         assert!(root.child_ns >= shard_total);
         assert_eq!(w.host_wallclock_ns, root.total_ns);
-    }
-
-    #[test]
-    fn merge_from_prefixed_with_empty_prefix_is_flat() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let job = t.fork();
-        job.phase("work").finish();
-        job.counter("c").inc();
-        t.merge_from_prefixed(&job, "");
-        let w = t.summary().unwrap().wallclock.unwrap();
-        assert_eq!(w.phase("work").unwrap().count, 1);
-        assert_eq!(t.summary().unwrap().counter("c"), Some(1));
     }
 }

@@ -96,11 +96,6 @@ impl<T> RingBuffer<T> {
         self.offered += pre_dropped;
         self.dropped += pre_dropped;
     }
-
-    /// Consumes the buffer, yielding retained entries oldest first.
-    pub fn into_vec(self) -> Vec<T> {
-        self.buf.into_iter().collect()
-    }
 }
 
 #[cfg(test)]

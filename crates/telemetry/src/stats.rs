@@ -1,7 +1,8 @@
 //! The [`stat_struct!`] macro: one field list generates a plain-`u64`
 //! statistics struct plus the boilerplate every simulator layer used to
 //! hand-roll — `AddAssign`, aggregation over collections, epoch deltas, and
-//! name/value field iteration (used by the per-epoch recorder).
+//! name/value field iteration and construction (used by the per-epoch
+//! recorder, the shard merge, the journal codec and the fault campaign).
 
 /// Declares a statistics struct of `u64` fields with shared behavior.
 ///
@@ -12,7 +13,9 @@
 /// * `aggregate(iter)` — fold a collection of borrows into a total,
 /// * `diff(&self, &earlier)` — saturating field-wise delta (for per-epoch
 ///   counters derived from cumulative totals),
-/// * `fields(&self)` / `FIELD_NAMES` — name/value iteration for exporters.
+/// * `fields(&self)` / `FIELD_NAMES` — name/value iteration for exporters,
+/// * `try_from_fields(get)` — the inverse: builds the struct from a
+///   fallible per-name lookup, in declaration order, for decoders.
 ///
 /// ```
 /// aqua_telemetry::stat_struct! {
@@ -30,6 +33,11 @@
 /// assert_eq!(a.seen, 5);
 /// assert_eq!(a.diff(&DemoStats { seen: 1, dropped: 1 }).seen, 4);
 /// assert_eq!(DemoStats::FIELD_NAMES, ["seen", "dropped"]);
+/// let back = DemoStats::try_from_fields(|name| match name {
+///     "seen" => Ok(5),
+///     _ => Err(format!("no {name}")),
+/// });
+/// assert_eq!(back, Err("no dropped".to_string()));
 /// ```
 #[macro_export]
 macro_rules! stat_struct {
@@ -74,6 +82,16 @@ macro_rules! stat_struct {
             /// Iterates `(name, value)` pairs in declaration order.
             pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
                 [$( (stringify!($field), self.$field) ),+].into_iter()
+            }
+
+            /// Builds a value from `get(name)` for each field, in
+            /// declaration order, stopping at the first error.
+            pub fn try_from_fields<E>(
+                mut get: impl FnMut(&'static str) -> ::core::result::Result<u64, E>,
+            ) -> ::core::result::Result<$name, E> {
+                ::core::result::Result::Ok($name {
+                    $( $field: get(stringify!($field))?, )+
+                })
             }
         }
     };
@@ -122,5 +140,13 @@ mod tests {
         let pairs: Vec<_> = s.fields().collect();
         assert_eq!(pairs, vec![("alpha", 7), ("beta", 9)]);
         assert_eq!(FixtureStats::FIELD_NAMES, &["alpha", "beta"]);
+        let back = FixtureStats::try_from_fields(|name| {
+            pairs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|&(_, v)| v)
+                .ok_or(name)
+        });
+        assert_eq!(back, Ok(s));
     }
 }

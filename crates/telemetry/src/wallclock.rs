@@ -112,10 +112,11 @@ impl WallProfile {
         }
     }
 
-    /// Folds `other` in *nested* under `prefix`: every path `p` of `other`
-    /// lands at `prefix;p`, and one synthetic occurrence is recorded at
-    /// `prefix` itself whose inclusive time is `other`'s root total, fully
-    /// attributed to child time. Returns that root total in nanoseconds.
+    /// Folds `other` in *nested* under the non-empty path `prefix`: every
+    /// path `p` of `other` lands at `prefix;p`, and one synthetic
+    /// occurrence is recorded at `prefix` itself whose inclusive time is
+    /// `other`'s root total, fully attributed to child time. Returns that
+    /// root total in nanoseconds.
     ///
     /// The sharded simulator uses this to park each shard's wall profile
     /// under a `sim.sharded;shard<i>` subtree: the shard rows stay visible
@@ -123,16 +124,6 @@ impl WallProfile {
     /// hub's `host_wallclock_ns` keeps measuring real elapsed time (the
     /// coordinator's own open phase) instead of summing per-shard CPU time.
     pub fn merge_nested(&mut self, prefix: &str, other: &WallProfile) -> u64 {
-        if prefix.is_empty() {
-            let root_total = other
-                .paths
-                .iter()
-                .filter(|(p, _)| !p.contains(';'))
-                .map(|(_, s)| s.total_ns)
-                .sum();
-            self.merge(other);
-            return root_total;
-        }
         let mut root_total = 0u64;
         for (path, stats) in &other.paths {
             if !path.contains(';') {
@@ -465,10 +456,6 @@ mod tests {
         // its elapsed time — not the sum of shard CPU time.
         let s = WallclockSummary::from_profile(&root, 0);
         assert_eq!(s.host_wallclock_ns, 2_000);
-        // An empty prefix degrades to the flat merge.
-        let mut flat = WallProfile::new();
-        assert_eq!(flat.merge_nested("", &sample_profile()), 1_000);
-        assert_eq!(flat.path("sim.run").unwrap().count, 1);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `Telemetry::flush_spans`, flushing before every other span operation as
 //! the batch's contract requires. The sequences interleave speculative
 //! roots (quiet, materialized by a child `span_start`, materialized by a
-//! leaf, ended unconditionally, superseded), nested `span_start` children
-//! under open parents, and `merge_from` of other hubs. After every flush
+//! leaf, superseded), nested `span_start` children under open parents,
+//! ended or cancelled, and `merge_from` of other hubs. After every flush
 //! point the two hubs must hold identical spans, and once the batch's stats
 //! are merged, identical summaries.
 
@@ -112,19 +112,12 @@ impl Pair {
                     self.open.len() - 1
                 };
                 let (r, t) = self.open.remove(idx);
-                match b % 3 {
-                    0 => {
-                        r.end(a + b);
-                        t.end(a + b);
-                    }
-                    1 => {
-                        r.end_if_used(a + b);
-                        t.end_if_used(a + b);
-                    }
-                    _ => {
-                        r.cancel();
-                        t.cancel();
-                    }
+                if b % 3 == 0 {
+                    r.cancel();
+                    t.cancel();
+                } else {
+                    r.end(a + b);
+                    t.end(a + b);
                 }
             }
             8 => {
@@ -141,28 +134,16 @@ impl Pair {
             9 => {
                 self.before_span_op(step);
                 if let Some((r, t)) = self.armed.take() {
-                    match b % 3 {
-                        0 => {
-                            r.end(&self.reference, a + b);
-                            t.end(&self.batched, a + b);
-                        }
-                        1 => {
-                            r.end_if_used(&self.reference, a + b);
-                            t.end_if_used(&self.batched, a + b);
-                        }
-                        _ => {
-                            r.cancel(&self.reference);
-                            t.cancel(&self.batched);
-                        }
-                    }
+                    r.end_if_used(&self.reference, a + b);
+                    t.end_if_used(&self.batched, a + b);
                 }
             }
             // Closing a superseded token must change nothing.
             10 => {
                 self.before_span_op(step);
                 if let Some((r, t)) = self.superseded.pop() {
-                    r.end(&self.reference, a);
-                    t.end(&self.batched, a);
+                    r.end_if_used(&self.reference, a);
+                    t.end_if_used(&self.batched, a);
                 }
             }
             11 => {
