@@ -15,6 +15,19 @@ run() {
     "$@"
 }
 
+# A must-fail check: the command has to exit with exactly the code the
+# failure under test produces, so a bad argument (exit 2) cannot pass for
+# it.
+expect_exit() {
+    local want="$1" code=0
+    shift
+    "$@" >/dev/null 2>&1 || code=$?
+    if [ "$code" != "$want" ]; then
+        echo "ERROR: expected exit $want, got $code from: $*" >&2
+        exit 1
+    fi
+}
+
 run cargo fmt --all --check
 
 run cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -100,14 +113,15 @@ echo
 echo "==> smoke: fault_campaign uninterrupted reference"
 AQUA_BENCH_WORKLOADS=mcf cargo run --offline -q --release -p aqua-bench \
     --bin fault_campaign -- "${resume_args[@]}" --out ci_resume_ref >/dev/null
+# The must-fail checks below run the built binaries directly, so the exit
+# code they check is the binary's own.
+cargo build --offline -q --release -p aqua-bench --bin fault_campaign --bin monitor \
+    --bin regression_gate
 echo
 echo "==> smoke: fault_campaign killed after 4 durable cells (expect exit 3)"
-if AQUA_BENCH_WORKLOADS=mcf AQUA_BENCH_DIE_AFTER=4 cargo run --offline -q --release \
-    -p aqua-bench --bin fault_campaign -- "${resume_args[@]}" --out ci_resume_out \
-    --resume "$resume_journal" >/dev/null 2>&1; then
-    echo "ERROR: campaign was not interrupted by AQUA_BENCH_DIE_AFTER" >&2
-    exit 1
-fi
+expect_exit 3 env AQUA_BENCH_WORKLOADS=mcf AQUA_BENCH_DIE_AFTER=4 \
+    target/release/fault_campaign "${resume_args[@]}" --out ci_resume_out \
+    --resume "$resume_journal"
 echo "campaign died mid-run as instructed"
 echo
 echo "==> smoke: resumed campaign must replay and finish byte-identical"
@@ -125,12 +139,8 @@ echo "==> smoke: quarantined cell warns by default, fails under --strict"
 AQUA_BENCH_WORKLOADS=mcf cargo run --offline -q --release -p aqua-bench \
     --bin fault_campaign -- --seed 7 --epochs 1 --rates 0 --out ci_chaos \
     --chaos-cell aqua-sram/mcf >/dev/null
-if AQUA_BENCH_WORKLOADS=mcf cargo run --offline -q --release -p aqua-bench \
-    --bin fault_campaign -- --seed 7 --epochs 1 --rates 0 --out ci_chaos \
-    --chaos-cell aqua-sram/mcf --strict >/dev/null 2>&1; then
-    echo "ERROR: --strict did not fail on a quarantined cell" >&2
-    exit 1
-fi
+expect_exit 1 env AQUA_BENCH_WORKLOADS=mcf target/release/fault_campaign \
+    --seed 7 --epochs 1 --rates 0 --out ci_chaos --chaos-cell aqua-sram/mcf --strict
 echo "quarantine is a warning by default and fatal under --strict"
 
 # Live metrics plane smoke: the same seeded campaign served over
@@ -141,7 +151,6 @@ echo "quarantine is a warning by default and fatal under --strict"
 # participant; DESIGN.md section 16).
 echo
 echo "==> metrics plane smoke: scrape /metrics and /healthz mid-sweep"
-cargo build --offline -q --release -p aqua-bench --bin monitor --bin fault_campaign
 metrics_addr_file=target/experiments/ci_metrics_addr.txt
 metrics_scrape=target/experiments/ci_metrics_scrape.txt
 rm -f "$metrics_addr_file"
@@ -185,12 +194,8 @@ echo "metrics plane served mid-run and changed nothing"
 # rule that cannot fire alerts nothing.
 echo
 echo "==> fault_campaign --fail-on-alert must FAIL under seeded escapes"
-if AQUA_BENCH_WORKLOADS=mcf target/release/fault_campaign \
-    --seed 7 --epochs 1 --rates 8 --out ci_alert_fail \
-    --fail-on-alert >/dev/null 2>&1; then
-    echo "ERROR: --fail-on-alert did not trip on seeded integrity escapes" >&2
-    exit 1
-fi
+expect_exit 1 env AQUA_BENCH_WORKLOADS=mcf target/release/fault_campaign \
+    --seed 7 --epochs 1 --rates 8 --out ci_alert_fail --fail-on-alert
 echo "alert engine tripped on the seeded escape as required"
 echo
 echo "==> fault_campaign --fail-on-alert stays quiet at fault rate 0"
@@ -230,11 +235,7 @@ cargo run --offline -q --release -p aqua-bench --bin regression_gate
 # (and residual) has to fail. A gate that cannot fail gates nothing.
 echo
 echo "==> regression gate must FAIL on injected +10pp slowdown"
-if cargo run --offline -q --release -p aqua-bench --bin regression_gate -- \
-    --inject-slowdown 10 >/dev/null 2>&1; then
-    echo "ERROR: regression gate passed despite injected slowdown" >&2
-    exit 1
-fi
+expect_exit 1 target/release/regression_gate --inject-slowdown 10
 echo "gate correctly rejected the injected regression"
 
 # The throughput floor must also be a must-fail check: a synthetic 3x
@@ -242,11 +243,7 @@ echo "gate correctly rejected the injected regression"
 # to exit nonzero, proving the hot-loop floor actually gates.
 echo
 echo "==> regression gate must FAIL on injected 3x throughput collapse"
-if cargo run --offline -q --release -p aqua-bench --bin regression_gate -- \
-    --inject-throttle 3 >/dev/null 2>&1; then
-    echo "ERROR: regression gate passed despite throttled throughput canary" >&2
-    exit 1
-fi
+expect_exit 1 target/release/regression_gate --inject-throttle 3
 echo "gate correctly rejected the throttled throughput canary"
 
 echo

@@ -35,6 +35,7 @@ fn run_flood(harness: &Harness, cfg: AquaConfig) -> (u64, u64, u64) {
 }
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let full = harness.aqua_config();
 

@@ -12,6 +12,7 @@ use aqua_bench::{pool, Harness, Scheme};
 use aqua_sim::gmean;
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let workloads = harness.workloads();
     // One shared set of baseline runs; only the tracker varies per sweep.

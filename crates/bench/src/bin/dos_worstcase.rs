@@ -15,6 +15,7 @@ use aqua_analysis::dos::{
     aqua_worst_case_slowdown, blockhammer_worst_case_slowdown, rrs_worst_case_slowdown,
 };
 use aqua_baselines::{Blockhammer, BlockhammerConfig};
+use aqua_bench::cli::Args;
 use aqua_bench::output::{f2, print_table, write_csv};
 use aqua_bench::{journal, supervise, Harness};
 use aqua_dram::mitigation::{Mitigation, NoMitigation};
@@ -43,13 +44,11 @@ fn run<M: Mitigation>(
 }
 
 fn main() {
+    let mut args = Args::from_env();
+    let journal = args.value("--resume", "JOURNAL");
+    args.finish();
     let mut harness = Harness::new(1000);
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--resume")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(path) = journal {
         harness.journal = Some(path.into());
     }
     let timing = DdrTiming::ddr4_2400();

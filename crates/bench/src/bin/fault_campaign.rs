@@ -45,20 +45,10 @@
 //! Exits non-zero if any run reports `unaccounted > 0` (a corruption whose
 //! wrong access escaped the shadow memory uncounted) or any cell failed.
 
+use aqua_bench::cli::{self, Args};
 use aqua_bench::output::{print_table, write_csv};
 use aqua_bench::{Chaos, Harness, RunError, Scheme};
 use aqua_faults::{FaultReport, FaultSpec};
-
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::AquaSram,
@@ -86,55 +76,44 @@ const HEADER: [&str; 15] = [
 ];
 
 fn main() {
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let t_rh: u64 = arg("--trh").and_then(|v| v.parse().ok()).unwrap_or(1000);
-    let rates: Vec<u32> = match arg("--rates") {
-        Some(raw) => raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| match s.parse() {
-                Ok(r) => r,
-                Err(_) => {
-                    eprintln!("unparsable fault rate {s:?} in --rates");
-                    std::process::exit(2);
-                }
-            })
-            .collect(),
-        None => vec![0, 2, 8, 32],
-    };
-    let watchdog_secs: u64 = arg("--watchdog-secs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
-    let out = arg("--out").unwrap_or_else(|| "fault_campaign".into());
-    let strict = flag("--strict");
-    let fail_on_alert = flag("--fail-on-alert");
+    let mut args = Args::from_env();
+    let seed: u64 = args.parse("--seed", "N").unwrap_or(42);
+    let t_rh: u64 = args.parse("--trh", "N").unwrap_or(1000);
+    let epochs: Option<u64> = args.parse("--epochs", "N");
+    let rates: Vec<u32> = args
+        .parse_with("--rates", "A,B,C", |raw| {
+            raw.split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(|s| {
+                    s.parse()
+                        .map_err(|_| format!("unparsable fault rate {s:?}"))
+                })
+                .collect()
+        })
+        .unwrap_or_else(|| vec![0, 2, 8, 32]);
+    let watchdog_secs: u64 = args.parse("--watchdog-secs", "N").unwrap_or(120);
+    let out = args
+        .value("--out", "NAME")
+        .unwrap_or_else(|| "fault_campaign".into());
+    let journal = args.value("--resume", "JOURNAL");
+    let strict = args.switch("--strict");
+    let chaos_cell = args.value("--chaos-cell", "SCHEME/WORKLOAD");
+    let metrics_addr = args.value("--metrics-addr", "HOST:PORT");
+    let fail_on_alert = args.switch("--fail-on-alert");
+    args.finish();
 
     let mut harness = Harness::new(t_rh);
-    if harness.metrics.is_none() {
-        if let Some(addr) = arg("--metrics-addr") {
-            match aqua_telemetry::MetricsPlane::bind(&addr) {
-                Ok(plane) => harness.metrics = Some(plane),
-                Err(e) => {
-                    eprintln!("cannot bind --metrics-addr {addr}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    if let Some(e) = arg("--epochs").and_then(|v| v.parse().ok()) {
-        harness.epochs = e;
-    }
+    cli::bind_metrics(&mut harness, metrics_addr);
+    harness.epochs = epochs.unwrap_or(harness.epochs);
     harness.watchdog = Some(std::time::Duration::from_secs(watchdog_secs));
-    if let Some(path) = arg("--resume") {
+    if let Some(path) = journal {
         harness.journal = Some(path.into());
     }
-    if let Some(cell) = arg("--chaos-cell") {
-        harness.chaos = Some(Chaos {
-            cell,
-            fail_attempts: 1,
-        });
-    }
+    harness.chaos = chaos_cell.map(|cell| Chaos {
+        cell,
+        fail_attempts: 1,
+    });
     // Default to a small representative workload trio; AQUA_BENCH_WORKLOADS
     // (already validated by workloads()) overrides it.
     let workloads = if std::env::var("AQUA_BENCH_WORKLOADS").is_ok() {
@@ -168,7 +147,7 @@ fn main() {
             events_per_epoch: rate,
         });
         let results = harness.run_matrix_instrumented(&SCHEMES, &workloads, telemetry.as_ref());
-        alerts_fired += results.health().alerts_fired;
+        alerts_fired += results.alerts_fired();
         for cell in results.cells() {
             let mut row = vec![
                 rate.to_string(),
@@ -190,10 +169,6 @@ fn main() {
                         RunError::Nondeterministic { .. } => {
                             quarantined_cells += 1;
                             "quarantined:nondeterministic".to_string()
-                        }
-                        RunError::Canceled => {
-                            failed_cells += 1;
-                            "canceled".to_string()
                         }
                         other => {
                             failed_cells += 1;

@@ -7,6 +7,7 @@ use aqua_analysis::thresholds::{reduction_factor, TIMELINE};
 use aqua_bench::output::{print_table, write_csv};
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let rows: Vec<Vec<String>> = TIMELINE
         .iter()
         .map(|p| vec![p.device.to_string(), p.year.to_string(), p.t_rh.to_string()])

@@ -8,6 +8,7 @@ use aqua_bench::{Harness, Scheme};
 use aqua_sim::gmean;
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let thresholds = [4000u64, 2000, 1000];
     let workloads = Harness::new(1000).workloads();
     let mut per_wl: Vec<Vec<String>> = workloads.iter().map(|w| vec![w.clone()]).collect();

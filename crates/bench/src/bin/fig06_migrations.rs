@@ -7,6 +7,7 @@ use aqua_bench::output::{f2, print_table, write_csv};
 use aqua_bench::{Harness, Scheme};
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let workloads = harness.workloads();
     let results = harness.run_matrix(&[Scheme::AquaSram, Scheme::Rrs], &workloads);

@@ -9,6 +9,7 @@ use aqua_bench::{Harness, Scheme};
 use aqua_sim::gmean;
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let workloads = harness.workloads();
     let results = harness.run_matrix(

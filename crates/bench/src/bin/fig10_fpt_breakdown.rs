@@ -9,6 +9,7 @@ use aqua_bench::output::{pct, print_table, write_csv};
 use aqua_bench::{pool, Harness, Scheme};
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let workloads = harness.workloads();
     let total = workloads.len();

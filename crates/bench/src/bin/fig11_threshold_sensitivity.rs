@@ -6,6 +6,7 @@
 //! between 2.3% and 2.0%.
 
 use aqua::TableMode;
+use aqua_bench::cli::Args;
 use aqua_bench::output::{f2, print_table, write_csv};
 use aqua_bench::{pool, Harness, Scheme};
 use aqua_sim::gmean;
@@ -82,7 +83,10 @@ fn structure_sweep() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--structures") {
+    let mut args = Args::from_env();
+    let structures = args.switch("--structures");
+    args.finish();
+    if structures {
         structure_sweep();
     } else {
         threshold_sweep();

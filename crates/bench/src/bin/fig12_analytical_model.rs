@@ -9,6 +9,7 @@ use aqua_bench::output::{f2, print_table, write_csv};
 use aqua_bench::{Harness, Scheme};
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     // The analytical curve.
     let fig = figure12(20);
     let rows: Vec<Vec<String>> = fig

@@ -30,18 +30,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use aqua_bench::cli::Args;
 use aqua_bench::gate::{json, JsonValue};
-
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 /// One HTTP/1.1 GET with `Connection: close`; returns the body.
 fn get(addr: &str, path: &str) -> Result<String, String> {
@@ -164,15 +154,12 @@ fn tick(addr: &str, raw: bool) -> Result<(), String> {
 }
 
 fn main() {
-    let Some(addr) = arg("--addr") else {
-        eprintln!("usage: monitor --addr HOST:PORT [--interval-ms N] [--once] [--raw]");
-        std::process::exit(2);
-    };
-    let interval: u64 = arg("--interval-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let once = flag("--once");
-    let raw = flag("--raw");
+    let mut args = Args::from_env();
+    let addr = args.required("--addr", "HOST:PORT");
+    let interval: u64 = args.parse("--interval-ms", "N").unwrap_or(1000);
+    let once = args.switch("--once");
+    let raw = args.switch("--raw");
+    args.finish();
 
     loop {
         match tick(&addr, raw) {

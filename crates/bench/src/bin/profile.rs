@@ -30,23 +30,20 @@
 //! phases), min/median/max, and the max/median ratio — the number that says
 //! whether a parallel run is gated on one slow channel.
 //!
-//! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel. Both
-//! output files are created before the simulation starts, as `simulate`
-//! creates its outputs: only `target/experiments` is made if missing, so a
-//! flag naming a path in a missing directory, or any file that cannot be
-//! created, written or flushed, ends the program with exit code 2 and a
-//! line naming its flag and path.
+//! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel. Arguments
+//! are checked as `simulate` checks them: one it does not read, an unknown
+//! scheme or workload, or an unparsable number exits 2 before anything
+//! runs. Both output files are created before the simulation starts, as
+//! `simulate` creates its outputs: neither is truncated until both open,
+//! and only `target/experiments` is made if missing, so a flag naming a
+//! path in a missing directory, or any file that cannot be created,
+//! written or flushed, ends the program with exit code 2 and a line naming
+//! its flag and path.
 
+use aqua_bench::cli::Args;
 use aqua_bench::output::{write_csv_instrumented, OutputFile};
 use aqua_bench::{Harness, Scheme};
 use aqua_telemetry::{PhaseStats, Telemetry};
-
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 /// Nesting depth of a `;`-joined phase path (root = 0).
 fn depth(path: &str) -> usize {
@@ -88,40 +85,39 @@ fn print_phase_table(paths: &[(String, PhaseStats)], host_ns: u64) {
 }
 
 fn main() {
-    let scheme = match arg("--scheme").as_deref().unwrap_or("aqua-sram") {
-        "baseline" => Scheme::Baseline,
-        "aqua-sram" => Scheme::AquaSram,
-        "aqua-mapped" => Scheme::AquaMapped,
-        "rrs" => Scheme::Rrs,
-        "victim-refresh" => Scheme::VictimRefresh,
-        "blockhammer" => Scheme::Blockhammer,
-        other => {
-            eprintln!("unknown scheme {other}");
-            std::process::exit(2);
-        }
-    };
-    let workload = arg("--workload").unwrap_or_else(|| "mcf".into());
-    let t_rh: u64 = arg("--trh").and_then(|v| v.parse().ok()).unwrap_or(1000);
-    let folded_path = arg("--folded").unwrap_or_else(|| "target/experiments/profile.folded".into());
-    let jsonl_path = arg("--jsonl").unwrap_or_else(|| "target/experiments/profile.jsonl".into());
+    let mut args = Args::from_env();
+    let scheme = args
+        .parse_with("--scheme", "NAME", Scheme::from_name)
+        .unwrap_or(Scheme::AquaSram);
+    let workload = args
+        .parse_with("--workload", "NAME", Harness::known_workload)
+        .unwrap_or_else(|| "mcf".into());
+    let t_rh: u64 = args.parse("--trh", "N").unwrap_or(1000);
+    let epochs: u64 = args.parse("--epochs", "N").unwrap_or(1);
+    let channels: u32 = args
+        .parse_with("--channels", "N", |raw| match raw.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err("takes a positive channel count".into()),
+        })
+        .unwrap_or(1);
+    let shard_workers: usize = args.parse("--shard-workers", "N").unwrap_or(0);
+    let outputs = [("--folded", "profile.folded"), ("--jsonl", "profile.jsonl")];
+    let outputs = outputs.map(|(flag, file)| {
+        let default = format!("target/experiments/{file}");
+        (flag, Some(args.value(flag, "FILE").unwrap_or(default)))
+    });
+    args.finish();
+
     // The default outputs and the CSV live here; a directory a flag names
     // must already exist.
     let _ = std::fs::create_dir_all("target/experiments");
-    let mut folded = OutputFile::create("--folded", folded_path);
-    let mut jsonl = OutputFile::create("--jsonl", jsonl_path);
-
-    let channels: u32 = arg("--channels").and_then(|v| v.parse().ok()).unwrap_or(1);
-    if channels == 0 {
-        eprintln!("--channels takes a positive channel count");
-        std::process::exit(2);
-    }
+    let [mut folded, mut jsonl] =
+        OutputFile::create_all(outputs).map(|out| out.expect("every output has a default path"));
 
     let mut harness = Harness::new(t_rh);
-    harness.epochs = arg("--epochs").and_then(|v| v.parse().ok()).unwrap_or(1);
+    harness.epochs = epochs;
     harness.base = harness.base.with_channels(channels);
-    harness.shard_workers = arg("--shard-workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    harness.shard_workers = shard_workers;
 
     let hub = Telemetry::new(Default::default());
     println!(

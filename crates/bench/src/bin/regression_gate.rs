@@ -39,9 +39,10 @@
 //! `target/experiments/BENCH_8.json`) and compared against the committed
 //! baseline (`--baseline`, default `BENCH_8.json`) with the per-metric
 //! tolerances of `aqua_bench::gate::tolerance`. A baseline without its
-//! throughput or scaling block is malformed. Exit status: 0 = pass, 1 =
-//! regression (one line per violated tolerance on stderr), 2 = usage or
-//! I/O error.
+//! throughput or scaling block is malformed. The baseline is read before
+//! the canary runs, so a missing or malformed one fails at once. Exit
+//! status: 0 = pass, 1 = regression (one line per violated tolerance on
+//! stderr), 2 = usage or I/O error.
 //!
 //! `--write-baseline` re-measures and overwrites the baseline file
 //! instead of comparing (use after an intentional perf change); when
@@ -69,6 +70,7 @@
 //! every run, never journaled.
 
 use aqua_analysis::attribution::{AblationCounts, Attribution};
+use aqua_bench::cli::Args;
 use aqua_bench::gate::{
     self, CellAttribution, CellMetrics, GateReport, PhaseLatency, ScalingMetrics, ThroughputMetrics,
 };
@@ -92,17 +94,6 @@ const THROUGHPUT_WORKLOAD: &str = "mcf";
 /// Channel count of the scaling canary: the same cell as the throughput
 /// canary but sharded across this many per-channel engines.
 const SCALING_CHANNELS: u32 = 4;
-
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 /// One simulation of the canary: the unmitigated baseline for a workload,
 /// or a scheme cell under some ablation. Only the fully-costed scheme run
@@ -334,11 +325,11 @@ fn measure_scaling(harness: &Harness) -> ScalingMetrics {
     }
 }
 
-fn measure(inject_pp: f64) -> Result<GateReport, String> {
+fn measure(inject_pp: f64, journal: Option<String>) -> Result<GateReport, String> {
     let mut harness = Harness::new(T_RH);
     harness.epochs = EPOCHS;
     harness.seed = SEED;
-    if let Some(path) = arg("--resume") {
+    if let Some(path) = journal {
         harness.journal = Some(path.into());
     }
 
@@ -532,27 +523,48 @@ fn print_report(report: &GateReport) {
     }
 }
 
-fn main() {
-    let baseline_path = arg("--baseline").unwrap_or_else(|| "BENCH_8.json".into());
-    let out_path = arg("--out").unwrap_or_else(|| "target/experiments/BENCH_8.json".into());
-    let inject_pp: f64 = match arg("--inject-slowdown").map(|v| v.parse()) {
-        None => 0.0,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            eprintln!("--inject-slowdown takes a number (percentage points)");
+/// Reads and parses the committed baseline; exits 2 when it cannot.
+fn read_baseline(path: &str) -> GateReport {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!(
+                "regression gate: cannot read baseline {path}: {e}\n\
+                 (generate one with `regression_gate --write-baseline`)"
+            );
             std::process::exit(2);
         }
     };
-    let inject_throttle: f64 = match arg("--inject-throttle").map(|v| v.parse()) {
-        None => 1.0,
-        Some(Ok(v)) if v > 0.0 => v,
-        Some(_) => {
-            eprintln!("--inject-throttle takes a positive throughput divisor");
+    match GateReport::from_json(&text) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("regression gate: malformed baseline {path}: {e}");
             std::process::exit(2);
         }
-    };
+    }
+}
 
-    let mut report = match measure(inject_pp) {
+fn main() {
+    let mut args = Args::from_env();
+    let baseline_path = args
+        .value("--baseline", "FILE")
+        .unwrap_or_else(|| "BENCH_8.json".into());
+    let out = args.value("--out", "FILE");
+    let write_baseline = args.switch("--write-baseline");
+    let inject_pp: f64 = args.parse("--inject-slowdown", "PP").unwrap_or(0.0);
+    let inject_throttle: f64 = args
+        .parse_with("--inject-throttle", "FACTOR", |raw| match raw.parse() {
+            Ok(v) if v > 0.0 => Ok(v),
+            _ => Err("takes a positive throughput divisor".into()),
+        })
+        .unwrap_or(1.0);
+    let journal = args.value("--resume", "JOURNAL");
+    args.finish();
+
+    // Read the baseline before the canary, so a missing or malformed one
+    // fails at once instead of after the whole measurement.
+    let baseline = (!write_baseline).then(|| read_baseline(&baseline_path));
+    let mut report = match measure(inject_pp, journal) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("regression gate: canary run failed: {e}");
@@ -565,18 +577,19 @@ fn main() {
     t.max_accesses_per_sec /= inject_throttle;
     print_report(&report);
 
-    if flag("--write-baseline") {
+    let Some(baseline) = baseline else {
         // An explicit --out redirects the new baseline (e.g. writing
         // BENCH_8.json at the repo root without clobbering the old file).
-        let dest = arg("--out").unwrap_or(baseline_path);
+        let dest = out.unwrap_or(baseline_path);
         if let Err(e) = std::fs::write(&dest, report.to_json()) {
             eprintln!("regression gate: cannot write {dest}: {e}");
             std::process::exit(2);
         }
         println!("\nwrote new baseline to {dest}");
         return;
-    }
+    };
 
+    let out_path = out.unwrap_or_else(|| "target/experiments/BENCH_8.json".into());
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -585,24 +598,6 @@ fn main() {
         std::process::exit(2);
     }
     println!("\nwrote current metrics to {out_path}");
-
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "regression gate: cannot read baseline {baseline_path}: {e}\n\
-                 (generate one with `regression_gate --write-baseline`)"
-            );
-            std::process::exit(2);
-        }
-    };
-    let baseline = match GateReport::from_json(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("regression gate: malformed baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        }
-    };
 
     let failures = gate::compare(&baseline, &report);
     if failures.is_empty() {

@@ -34,10 +34,14 @@
 //! Prints the full run report, including the security-oracle verdict, the
 //! shadow-memory integrity check, and — when a hub is attached — a
 //! host-throughput section (accesses per wallclock second; see DESIGN.md
-//! §12 on host vs simulated time). Every output file is created before
-//! the simulation starts; one that cannot be created, written or flushed
-//! ends the program with exit code 2 and a line naming its flag and path.
+//! §12 on host vs simulated time). An argument it does not read, an
+//! unknown scheme or workload, or an unparsable number ends the program
+//! with exit code 2 before anything runs. Every output file is created
+//! before the simulation starts, and none is truncated until all of them
+//! open; one that cannot be created, written or flushed ends the program
+//! with exit code 2 and a line naming its flag and path.
 
+use aqua_bench::cli::{self, Args};
 use aqua_bench::output::OutputFile;
 use aqua_bench::{Harness, Scheme};
 use aqua_telemetry::export::{
@@ -45,79 +49,49 @@ use aqua_telemetry::export::{
 };
 use aqua_telemetry::{Telemetry, TelemetryConfig};
 
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// The histogram names `Simulation::attach_telemetry` registers.
 const HISTOGRAMS: [&str; 3] = ["mem.access_ps", "migration.stall_ps", "table.lookup_ps"];
 
-/// The file that output flag `flag` names, if it was given.
-fn create_output(flag: &'static str) -> Option<OutputFile> {
-    arg(flag).map(|path| OutputFile::create(flag, path))
-}
-
 fn main() {
-    let scheme = match arg("--scheme").as_deref().unwrap_or("aqua-sram") {
-        "baseline" => Scheme::Baseline,
-        "aqua-sram" => Scheme::AquaSram,
-        "aqua-mapped" => Scheme::AquaMapped,
-        "rrs" => Scheme::Rrs,
-        "victim-refresh" => Scheme::VictimRefresh,
-        "blockhammer" => Scheme::Blockhammer,
-        other => {
-            eprintln!("unknown scheme {other}");
-            std::process::exit(2);
-        }
-    };
-    let workload = arg("--workload").unwrap_or_else(|| "mcf".into());
-    let t_rh: u64 = arg("--trh").and_then(|v| v.parse().ok()).unwrap_or(1000);
-    let mut harness = Harness::new(t_rh);
-    if let Some(e) = arg("--epochs").and_then(|v| v.parse().ok()) {
-        harness.epochs = e;
-    }
-    if harness.metrics.is_none() {
-        if let Some(addr) = arg("--metrics-addr") {
-            match aqua_telemetry::MetricsPlane::bind(&addr) {
-                Ok(plane) => harness.metrics = Some(plane),
-                Err(e) => {
-                    eprintln!("cannot bind --metrics-addr {addr}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
+    let mut args = Args::from_env();
+    let scheme = args
+        .parse_with("--scheme", "NAME", Scheme::from_name)
+        .unwrap_or(Scheme::AquaSram);
+    let workload = args
+        .parse_with("--workload", "NAME", Harness::known_workload)
+        .unwrap_or_else(|| "mcf".into());
+    let t_rh: u64 = args.parse("--trh", "N").unwrap_or(1000);
+    let epochs: Option<u64> = args.parse("--epochs", "N");
+    let outputs = [
+        "--trace-out",
+        "--timeseries-out",
+        "--histograms",
+        "--spans-out",
+    ]
+    .map(|flag| (flag, args.value(flag, "FILE")));
+    let trace_activates = args.switch("--trace-activates");
+    let trace_capacity: Option<usize> = args.parse("--trace-capacity", "N");
+    let metrics_addr = args.value("--metrics-addr", "HOST:PORT");
+    args.finish();
 
-    let trace_out = create_output("--trace-out");
-    let timeseries_out = create_output("--timeseries-out");
-    let histograms_out = create_output("--histograms");
-    let spans_out = create_output("--spans-out");
+    let mut harness = Harness::new(t_rh);
+    harness.epochs = epochs.unwrap_or(harness.epochs);
+    cli::bind_metrics(&mut harness, metrics_addr);
     // A live plane needs an enabled hub to snapshot, so it implies one
     // even when no export file was asked for.
-    let want_telemetry = trace_out.is_some()
-        || timeseries_out.is_some()
-        || histograms_out.is_some()
-        || spans_out.is_some()
-        || harness.metrics.is_some();
-    let telemetry = if want_telemetry {
+    let want_telemetry =
+        outputs.iter().any(|(_, path)| path.is_some()) || harness.metrics.is_some();
+    let [trace_out, timeseries_out, histograms_out, spans_out] = OutputFile::create_all(outputs);
+    let telemetry = want_telemetry.then(|| {
         let mut cfg = TelemetryConfig {
-            trace_activates: flag("--trace-activates"),
+            trace_activates,
             ..TelemetryConfig::default()
         };
-        if let Some(cap) = arg("--trace-capacity").and_then(|v| v.parse().ok()) {
+        if let Some(cap) = trace_capacity {
             cfg.trace_capacity = cap;
         }
-        Some(Telemetry::new(cfg))
-    } else {
-        None
-    };
+        Telemetry::new(cfg)
+    });
 
     println!(
         "running {} on {workload} at T_RH={t_rh} for {} epochs...",

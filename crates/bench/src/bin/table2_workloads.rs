@@ -10,6 +10,7 @@ use aqua_bench::{Harness, Scheme};
 use aqua_workload::spec::TABLE2;
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let workloads: Vec<String> = TABLE2.iter().map(|w| w.name.to_string()).collect();
     let results = harness.run_matrix(&[Scheme::Baseline], &workloads);

@@ -8,6 +8,7 @@ use aqua_bench::output::{pct, print_table, write_csv};
 use aqua_dram::{DdrTiming, DramGeometry};
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let rows: Vec<Vec<String>> = table3(&DdrTiming::ddr4_2400(), &DramGeometry::paper_table1())
         .iter()
         .map(|p| {

@@ -35,6 +35,7 @@ fn attack_outcome<M: Mitigation>(harness: &Harness, engine: M, pattern: Hammer) 
 }
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let space = harness.space();
     let vr = || {

@@ -8,6 +8,7 @@ use aqua_baselines::crow::table5;
 use aqua_bench::output::{pct, print_table, write_csv};
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let rows: Vec<Vec<String>> = table5()
         .iter()
         .map(|p| {

@@ -3,9 +3,9 @@
 //! compatibility.
 //!
 //! Storage columns come from the analytical models; average slowdowns from
-//! workload simulation (pass `--quick` to reuse only the hottest workloads);
-//! worst-case slowdowns from the closed-form DoS bounds of sections VI-C and
-//! VII-B, cross-checked by simulating the adversarial patterns.
+//! workload simulation; worst-case slowdowns from the closed-form DoS
+//! bounds of sections VI-C and VII-B, cross-checked by simulating the
+//! adversarial patterns.
 
 use aqua_analysis::dos::{
     aqua_worst_case_slowdown, blockhammer_worst_case_slowdown, rrs_worst_case_slowdown,
@@ -17,6 +17,7 @@ use aqua_dram::{DdrTiming, DramGeometry};
 use aqua_sim::gmean;
 
 fn main() {
+    aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
     let timing = DdrTiming::ddr4_2400();
     let geometry = DramGeometry::paper_table1();

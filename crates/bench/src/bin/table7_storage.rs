@@ -6,6 +6,7 @@
 
 use aqua_analysis::power::aqua_power;
 use aqua_analysis::storage::table7;
+use aqua_bench::cli::Args;
 use aqua_bench::output::{f2, print_table, write_csv};
 
 fn storage_table() {
@@ -60,7 +61,10 @@ fn power_table() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--power") {
+    let mut args = Args::from_env();
+    let power = args.switch("--power");
+    args.finish();
+    if power {
         power_table();
     } else {
         storage_table();

@@ -35,8 +35,6 @@
 //! - `AQUA_BENCH_JOBS`: worker threads for the experiment matrix
 //!   (default: all available cores; `1` = serial; `0` = auto, same as
 //!   unset).
-//! - `AQUA_BENCH_PROGRESS=1`: per-start/per-completion progress lines on
-//!   stderr (with a per-channel in-flight breakdown on sharded runs).
 //! - `AQUA_BENCH_RETRIES`: seeded re-runs granted to a watchdog-expired
 //!   cell (default 1; the determinism probe after an ordinary panic is
 //!   separate and always exactly one).
@@ -56,6 +54,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod gate;
 pub mod journal;
 mod matrix;
@@ -63,7 +62,7 @@ pub mod output;
 pub use aqua_sim::pool;
 pub mod supervise;
 
-pub use matrix::{MatrixCell, MatrixHealth, MatrixResults};
+pub use matrix::{MatrixCell, MatrixResults};
 pub use supervise::{Attempted, RunError, Supervisor};
 
 use std::path::PathBuf;
@@ -104,6 +103,24 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every scheme, in the order the name lists print them.
+    const ALL: [Scheme; 6] = [
+        Scheme::Baseline,
+        Scheme::AquaSram,
+        Scheme::AquaMapped,
+        Scheme::Rrs,
+        Scheme::VictimRefresh,
+        Scheme::Blockhammer,
+    ];
+
+    /// The scheme [`Scheme::name`] calls `name`, or an error listing every
+    /// valid name.
+    pub fn from_name(name: &str) -> Result<Scheme, String> {
+        let names = Self::ALL.map(Scheme::name).join(", ");
+        let found = Self::ALL.into_iter().find(|s| s.name() == name);
+        found.ok_or_else(|| format!("unknown scheme; valid names: {names}"))
+    }
+
     /// Scheme name as used in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -318,6 +335,19 @@ impl Harness {
             .collect()
     }
 
+    /// `name` if it is one of [`Harness::known_workloads`], or an error
+    /// listing every valid name.
+    pub fn known_workload(name: &str) -> Result<String, String> {
+        let known = Self::known_workloads();
+        if known.iter().any(|w| w == name) {
+            return Ok(name.to_string());
+        }
+        Err(format!(
+            "unknown workload; valid names: {}",
+            known.join(", ")
+        ))
+    }
+
     /// The workloads to run: all 34 names, or the validated subset selected
     /// by `AQUA_BENCH_WORKLOADS`.
     ///
@@ -355,11 +385,9 @@ impl Harness {
             );
             return Ok(known);
         }
-        if let Some(bad) = picked.iter().find(|w| !known.contains(w)) {
-            return Err(format!(
-                "unknown workload {bad:?} in AQUA_BENCH_WORKLOADS; valid names: {}",
-                known.join(", ")
-            ));
+        for name in &picked {
+            Self::known_workload(name)
+                .map_err(|e| format!("AQUA_BENCH_WORKLOADS entry {name:?}: {e}"))?;
         }
         Ok(picked)
     }
@@ -641,7 +669,6 @@ impl Harness {
         let supervisor = Supervisor {
             max_retries: self.retries,
             telemetry: parent.clone(),
-            cancel: None,
             plane: self.metrics.clone(),
         };
         let binding = journal.as_ref().map(|j| supervise::JournalBinding {
@@ -889,18 +916,13 @@ mod tests {
 
     #[test]
     fn scheme_names_are_distinct() {
-        let names: std::collections::HashSet<&str> = [
-            Scheme::Baseline,
-            Scheme::AquaSram,
-            Scheme::AquaMapped,
-            Scheme::Rrs,
-            Scheme::VictimRefresh,
-            Scheme::Blockhammer,
-        ]
-        .iter()
-        .map(|s| s.name())
-        .collect();
+        let names: std::collections::HashSet<&str> = Scheme::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 6);
+        for scheme in Scheme::ALL {
+            assert_eq!(Scheme::from_name(scheme.name()), Ok(scheme));
+        }
+        let err = Scheme::from_name("nope").unwrap_err();
+        assert!(err.contains("aqua-sram, aqua-mapped"), "{err}");
     }
 
     // -- env-var parsing (regression tests for the silent-fallback bugs) --

@@ -64,8 +64,8 @@ impl MatrixResults {
             .map_err(|e| format!("matrix cell {} / {workload} failed: {e}", scheme.name()))
     }
 
-    /// The cells with no trustworthy result — failed, quarantined, or
-    /// canceled — if any.
+    /// The cells with no trustworthy result — failed or quarantined — if
+    /// any.
     pub fn failures(&self) -> impl Iterator<Item = &MatrixCell> {
         self.cells.iter().filter(|c| c.outcome.is_err())
     }
@@ -75,34 +75,13 @@ impl MatrixResults {
         self.cells.iter().filter_map(|c| c.outcome.as_ref().ok())
     }
 
-    /// Folds the whole matrix into one health rollup: cell fates plus the
-    /// alert count summed from every successful report's
-    /// `sim.alerts_fired` counter. Campaign binaries print it and
-    /// `--fail-on-alert` gates on `alerts_fired`.
-    pub fn health(&self) -> MatrixHealth {
-        let mut h = MatrixHealth::default();
-        for cell in &self.cells {
-            match &cell.outcome {
-                Ok(report) => {
-                    h.ok += 1;
-                    h.alerts_fired += report
-                        .telemetry
-                        .as_ref()
-                        .and_then(|t| t.counter("sim.alerts_fired"))
-                        .unwrap_or(0);
-                }
-                Err(RunError::Nondeterministic { .. }) => {
-                    h.failed += 1;
-                    h.quarantined += 1;
-                }
-                Err(_) => h.failed += 1,
-            }
-            if cell.resumed {
-                h.resumed += 1;
-            }
-            h.retried += u64::from(cell.attempts.saturating_sub(1));
-        }
-        h
+    /// Deterministic alert firings summed over every successful report's
+    /// `sim.alerts_fired` counter (0 for runs without telemetry);
+    /// `fault_campaign --fail-on-alert` gates on it.
+    pub fn alerts_fired(&self) -> u64 {
+        self.reports()
+            .filter_map(|r| r.telemetry.as_ref()?.counter("sim.alerts_fired"))
+            .sum()
     }
 
     /// Panics if any cell failed, listing every failed cell. Figure binaries
@@ -121,27 +100,6 @@ impl MatrixResults {
         );
         self
     }
-}
-
-/// One matrix's health rollup (see [`MatrixResults::health`]). Counts are
-/// derived purely from the deterministic results, so the rollup is
-/// byte-identical across worker counts — unlike the live plane's view,
-/// which observes the same facts as they happen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MatrixHealth {
-    /// Cells with a trustworthy report.
-    pub ok: u64,
-    /// Cells with no trustworthy result (includes quarantined).
-    pub failed: u64,
-    /// Cells quarantined as nondeterministic.
-    pub quarantined: u64,
-    /// Cells replayed from a checkpoint journal.
-    pub resumed: u64,
-    /// Extra attempts beyond each cell's first.
-    pub retried: u64,
-    /// Deterministic alert firings summed over every successful report
-    /// (`sim.alerts_fired`; 0 when runs carried no telemetry).
-    pub alerts_fired: u64,
 }
 
 fn flat(cell: &MatrixCell) -> String {
@@ -202,46 +160,26 @@ mod tests {
     }
 
     #[test]
-    fn health_rolls_up_fates_and_alert_counts() {
+    fn alerts_fired_sums_successful_reports() {
         let mut r = results();
-        // A quarantined, resumed, retried cell plus a report that carries
-        // two alert firings in its telemetry summary.
-        r.cells.push(MatrixCell {
-            scheme: Scheme::AquaSram,
-            workload: "mcf".into(),
-            outcome: Err(RunError::Nondeterministic {
-                detail: "flaky".into(),
-            }),
-            attempts: 2,
-            resumed: false,
-        });
-        r.cells.push(MatrixCell {
-            scheme: Scheme::AquaSram,
-            workload: "lbm".into(),
-            outcome: Ok(RunReport {
-                workload: "lbm".into(),
-                telemetry: Some(aqua_telemetry::TelemetrySummary {
-                    counters: vec![("sim.alerts_fired".into(), 2)],
+        // Two successful reports that carry alert firings next to the
+        // fixture's report without telemetry and its failed cell.
+        for (workload, fired) in [("mcf", 2), ("xz", 3)] {
+            r.cells.push(MatrixCell {
+                scheme: Scheme::AquaSram,
+                workload: workload.into(),
+                outcome: Ok(RunReport {
+                    workload: workload.into(),
+                    telemetry: Some(aqua_telemetry::TelemetrySummary {
+                        counters: vec![("sim.alerts_fired".into(), fired)],
+                        ..Default::default()
+                    }),
                     ..Default::default()
                 }),
-                ..Default::default()
-            }),
-            attempts: 3,
-            resumed: true,
-        });
-        let h = r.health();
-        // retried: 1 (base fixture's Rrs cell, attempts=2) + 1 (the
-        // quarantined cell, attempts=2) + 2 (the resumed cell, attempts=3).
-        assert_eq!(
-            h,
-            MatrixHealth {
-                ok: 2,
-                failed: 2,
-                quarantined: 1,
-                resumed: 1,
-                retried: 4,
-                alerts_fired: 2,
-            }
-        );
+                attempts: 1,
+                resumed: false,
+            });
+        }
+        assert_eq!(r.alerts_fired(), 5);
     }
 }

@@ -1,7 +1,7 @@
 //! Table printing, CSV output and CLI output files for the experiment
 //! binaries.
 
-use std::fs::{self, File};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 
@@ -84,19 +84,36 @@ pub struct OutputFile {
 }
 
 impl OutputFile {
-    /// Creates `path` for `flag`.
-    pub fn create(flag: &'static str, path: String) -> OutputFile {
-        match File::create(&path) {
-            Ok(file) => OutputFile {
-                flag,
-                path,
-                w: BufWriter::new(file),
-            },
-            Err(e) => {
+    /// Creates the file of every `(flag, path)` given a path. Each path is
+    /// opened without truncation first, so one that cannot be created
+    /// exits before any other output loses its previous contents.
+    pub fn create_all<const N: usize>(
+        outputs: [(&'static str, Option<String>); N],
+    ) -> [Option<OutputFile>; N] {
+        let open = |flag: &str, path: &str, truncate: bool| {
+            let file = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(truncate)
+                .open(path);
+            file.unwrap_or_else(|e| {
                 eprintln!("cannot create {flag} file {path}: {e}");
                 std::process::exit(2);
+            })
+        };
+        for (flag, path) in &outputs {
+            if let Some(path) = path {
+                open(flag, path, false);
             }
         }
+        outputs.map(|(flag, path)| {
+            let w = BufWriter::new(open(flag, path.as_deref()?, true));
+            Some(OutputFile {
+                flag,
+                path: path?,
+                w,
+            })
+        })
     }
 
     /// Writes `body` into the file and flushes it.

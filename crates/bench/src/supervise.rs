@@ -29,7 +29,6 @@
 //! scheduling, and nothing deterministic ever reads it back.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::gate::JsonValue;
@@ -61,8 +60,6 @@ pub enum RunError {
         /// What the first attempt and the probe each did.
         detail: String,
     },
-    /// The supervisor was told to stop before this cell ran.
-    Canceled,
 }
 
 impl RunError {
@@ -90,16 +87,15 @@ impl RunError {
             RunError::WatchdogExpired { .. } => "watchdog",
             RunError::InvariantViolation(_) => "invariant",
             RunError::Nondeterministic { .. } => "nondeterministic",
-            RunError::Canceled => "canceled",
         }
     }
 
     /// Whether resuming (or retrying) may legitimately produce a result:
-    /// true only for host-time failures and never-ran cells. A journal
-    /// record with `retriable: true` is re-run on resume instead of
-    /// replayed.
+    /// true only for host-time failures. A journal record with
+    /// `retriable: true` (also an older journal's `canceled` record) is
+    /// re-run on resume instead of replayed.
     pub fn retriable(&self) -> bool {
-        matches!(self, RunError::WatchdogExpired { .. } | RunError::Canceled)
+        matches!(self, RunError::WatchdogExpired { .. })
     }
 
     /// The kind-free detail string journaled in a record's `error` field;
@@ -111,7 +107,6 @@ impl RunError {
             RunError::WatchdogExpired { .. } => self.to_string(),
             RunError::InvariantViolation(msg) => msg.clone(),
             RunError::Nondeterministic { detail } => detail.clone(),
-            RunError::Canceled => String::new(),
         }
     }
 
@@ -123,7 +118,6 @@ impl RunError {
             "nondeterministic" => RunError::Nondeterministic {
                 detail: error.to_string(),
             },
-            "canceled" => RunError::Canceled,
             _ => RunError::Panic(error.to_string()),
         }
     }
@@ -141,7 +135,6 @@ impl std::fmt::Display for RunError {
             RunError::Nondeterministic { detail } => {
                 write!(f, "nondeterministic (quarantined): {detail}")
             }
-            RunError::Canceled => write!(f, "canceled before it ran"),
         }
     }
 }
@@ -156,9 +149,6 @@ pub struct Supervisor {
     /// Hub receiving retry/resume/quarantine counters and events
     /// (recorded post-drain in input order; disabled hub = free).
     pub telemetry: Telemetry,
-    /// Cooperative cancellation: once set, cells that have not started
-    /// conclude as [`RunError::Canceled`] (journaled as retriable).
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Live metrics plane receiving cell-health updates as they happen
     /// (see the module docs; `None` = no live observer).
     pub plane: Option<Arc<MetricsPlane>>,
@@ -169,7 +159,6 @@ impl Default for Supervisor {
         Supervisor {
             max_retries: 1,
             telemetry: Telemetry::disabled(),
-            cancel: None,
             plane: None,
         }
     }
@@ -180,9 +169,8 @@ impl Default for Supervisor {
 pub struct Attempted<T> {
     /// The cell's result, or why there is none.
     pub outcome: Result<T, RunError>,
-    /// Attempts actually spent this process (0 = canceled or replayed
-    /// straight from the journal... see `resumed`; replays report the
-    /// recorded attempt count instead).
+    /// Attempts spent on the cell; a replayed cell (see `resumed`) reports
+    /// the count its journal record carries.
     pub attempts: u32,
     /// True when the outcome was replayed from a journal record written by
     /// an earlier run rather than simulated now.
@@ -362,15 +350,6 @@ fn attempt_cell<I, T>(
     sup: &Supervisor,
     f: &(impl Fn(usize, &I, u32) -> T + Sync),
 ) -> Attempted<T> {
-    if let Some(cancel) = &sup.cancel {
-        if cancel.load(Ordering::Relaxed) {
-            return Attempted {
-                outcome: Err(RunError::Canceled),
-                attempts: 0,
-                resumed: false,
-            };
-        }
-    }
     let run = |attempt: u32| {
         catch_unwind(AssertUnwindSafe(|| f(i, item, attempt))).map_err(pool::panic_message)
     };
@@ -468,7 +447,7 @@ mod tests {
     use super::*;
     use crate::journal::CellKey;
     use std::path::PathBuf;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("aqua-supervise-tests");
@@ -512,7 +491,6 @@ mod tests {
             RunError::Panic(_)
         ));
         assert!(RunError::WatchdogExpired { budget_ms: 1 }.retriable());
-        assert!(RunError::Canceled.retriable());
         assert!(!RunError::Panic("x".into()).retriable());
         assert!(!RunError::Nondeterministic { detail: "x".into() }.retriable());
     }
@@ -585,22 +563,6 @@ mod tests {
         });
         assert_eq!(out[0].outcome, Ok(42));
         assert_eq!(out[0].attempts, 2);
-    }
-
-    #[test]
-    fn canceled_cells_never_run() {
-        let cancel = Arc::new(AtomicBool::new(true));
-        let sup = Supervisor {
-            cancel: Some(cancel),
-            ..Supervisor::default()
-        };
-        let out = run_supervised(1, &[1u32, 2], &sup, None, |_, _, _| -> u32 {
-            unreachable!("canceled before start")
-        });
-        for att in &out {
-            assert_eq!(att.outcome, Err(RunError::Canceled));
-            assert_eq!(att.attempts, 0);
-        }
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Output flags fail before the run: a file that cannot be created ends
+//! Arguments and output flags fail before the run. An argument a binary
+//! does not read, or a value it cannot use, ends it with exit code 2 and a
+//! usage line before it does any work. A file that cannot be created ends
 //! `simulate` or `profile` with exit code 2 and a line naming the flag,
 //! not a panic after the whole simulation. A file that cannot be written
 //! ends it the same way after the run, instead of a silent exit 0.
 
-use std::process::Command;
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 #[test]
 fn unwritable_trace_out_exits_2_before_simulating() {
@@ -64,25 +68,137 @@ fn full_device_timeseries_out_exits_2_naming_the_flag() {
 
 /// `profile` makes no directory a flag names: a `--jsonl` path in a
 /// missing directory exits 2 like `simulate`, and the directory stays
-/// missing.
+/// missing. It opens both outputs before it truncates either, so the
+/// previous run's folded stacks stay as they were.
 #[test]
 fn profile_jsonl_in_missing_directory_exits_2_and_creates_nothing() {
-    let root = std::env::temp_dir().join(format!("aqua-cli-profile-{}", std::process::id()));
-    std::fs::create_dir_all(&root).expect("create the temporary directory");
+    let root = empty_dir("profile");
     let missing = root.join("missing");
-    let path = missing.join("x.jsonl");
     // Run inside the temporary directory, so the default `--folded` file
     // lands there too.
-    let out = Command::new(env!("CARGO_BIN_EXE_profile"))
-        .current_dir(&root)
-        .arg("--jsonl")
-        .arg(&path)
-        .output()
-        .expect("run profile");
+    let folded = root.join("target/experiments/profile.folded");
+    std::fs::create_dir_all(folded.parent().unwrap()).expect("create target/experiments");
+    std::fs::write(&folded, "sim.run 42\n").expect("write the previous profile");
+    let out = run_in(
+        &root,
+        "profile",
+        &["--jsonl".as_ref(), missing.join("x.jsonl").as_ref()],
+    );
     let created = missing.exists();
+    let kept = std::fs::read_to_string(&folded).expect("read the profile back");
     std::fs::remove_dir_all(&root).expect("remove the temporary directory");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--jsonl"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot create --jsonl file"),
+        "stderr: {stderr}"
+    );
     assert!(!created, "profile created {}", missing.display());
+    assert_eq!(kept, "sim.run 42\n", "profile truncated its --folded file");
+}
+
+/// A fresh, empty directory for one test's working directory.
+fn empty_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aqua-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the temporary directory");
+    dir
+}
+
+/// Runs the bench binary `name` with `args` in `dir`.
+fn run_in(dir: &Path, name: &str, args: &[&OsStr]) -> Output {
+    let exe = format!("{name}{}", std::env::consts::EXE_SUFFIX);
+    Command::new(Path::new(env!("CARGO_BIN_EXE_simulate")).with_file_name(exe))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("run the binary")
+}
+
+/// An argument a binary does not read (`--help` included) or a value it
+/// cannot use ends the binary with exit code 2, a line naming the problem
+/// and a usage line, before it writes anything. Every binary in `src/bin`
+/// is checked.
+#[test]
+fn bad_arguments_exit_2_before_any_work() {
+    let bins = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin"))
+        .expect("list src/bin")
+        .map(|entry| entry.unwrap().path().file_stem().unwrap().to_owned());
+    let bins: Vec<String> = bins.map(|name| name.into_string().unwrap()).collect();
+    assert_eq!(bins.len(), 22);
+    let mut cases: Vec<(&str, Vec<&OsStr>, String)> = Vec::new();
+    for (name, flag) in bins
+        .iter()
+        .flat_map(|n| [(n, "--no-such-flag"), (n, "--help")])
+    {
+        cases.push((
+            name,
+            vec![flag.as_ref()],
+            format!("{name}: unknown flag {flag}\n"),
+        ));
+    }
+    for (args, want) in [
+        (["--epochs", "abc"], "simulate: --epochs \"abc\": "),
+        (
+            ["--workload", "nope"],
+            "\"nope\": unknown workload; valid names: lbm, ",
+        ),
+    ] {
+        cases.push(("simulate", args.map(OsStr::new).to_vec(), want.to_string()));
+    }
+    #[cfg(unix)]
+    cases.push((
+        "simulate",
+        vec![
+            "--workload".as_ref(),
+            std::os::unix::ffi::OsStrExt::from_bytes(b"mcf\xff"),
+        ],
+        "simulate: --workload \"mcf\\xFF\" is not UTF-8\n".into(),
+    ));
+    let dir = empty_dir("bad-arguments");
+    for (name, args, want) in cases {
+        let out = run_in(&dir, name, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains(&want), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains(&format!("usage: {name}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{name} {args:?} printed to stdout");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "{name} {args:?} created {left:?}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+}
+
+/// `--help` is an unknown flag like any other: no campaign starts, and the
+/// previous CSV stays as it was.
+#[test]
+fn fault_campaign_help_keeps_the_previous_csv() {
+    let dir = empty_dir("campaign-help");
+    let csv = dir.join("target/experiments/fault_campaign.csv");
+    std::fs::create_dir_all(csv.parent().unwrap()).expect("create target/experiments");
+    std::fs::write(&csv, "rate,scheme\n").expect("write the previous CSV");
+    let out = run_in(&dir, "fault_campaign", &["--help".as_ref()]);
+    let kept = std::fs::read_to_string(&csv).expect("read the CSV back");
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(kept, "rate,scheme\n");
+}
+
+/// The gate reads its baseline before the canary, so a missing one fails
+/// at once.
+#[test]
+fn regression_gate_missing_baseline_exits_2_before_the_canary() {
+    let dir = empty_dir("gate-baseline");
+    let missing = dir.join("missing.json");
+    let out = run_in(
+        &dir,
+        "regression_gate",
+        &["--baseline".as_ref(), missing.as_ref()],
+    );
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains(&*missing.to_string_lossy()), "{stderr}");
+    assert!(!stderr.contains("canary"), "the canary ran: {stderr}");
+    assert!(out.stdout.is_empty(), "the canary ran");
 }

@@ -13,102 +13,9 @@
 // slot expect is a pool invariant.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Optional progress reporting for long matrix runs, enabled by
-/// `AQUA_BENCH_PROGRESS=1` and off by default (so default stderr output —
-/// and every CSV diff driven by it — stays byte-identical). Writes one
-/// jobs-done/total line with elapsed wallclock and a linear ETA to stderr
-/// whenever a job starts or completes; when the caller labeled its items
-/// (the sharded simulator labels channels), the in-flight count carries a
-/// per-label breakdown.
-struct Progress {
-    total: usize,
-    done: AtomicUsize,
-    /// Indices currently in flight, in input order (drives both the count
-    /// and the labeled breakdown).
-    active: Mutex<BTreeSet<usize>>,
-    /// One label per item when the caller provided them; empty otherwise.
-    labels: Vec<String>,
-    start: std::time::Instant,
-}
-
-impl Progress {
-    /// A live reporter when `AQUA_BENCH_PROGRESS=1`, `None` otherwise. The
-    /// `Instant` is only read when the reporter is live.
-    fn from_env(total: usize, labels: Vec<String>) -> Option<Progress> {
-        let on = std::env::var("AQUA_BENCH_PROGRESS").is_ok_and(|v| v.trim() == "1");
-        (on && total > 0).then(|| Progress {
-            total,
-            done: AtomicUsize::new(0),
-            active: Mutex::new(BTreeSet::new()),
-            labels,
-            start: std::time::Instant::now(),
-        })
-    }
-
-    fn note_start(&self, index: usize) {
-        self.active.lock().unwrap().insert(index);
-        self.report();
-    }
-
-    fn note(&self, index: usize) {
-        self.active.lock().unwrap().remove(&index);
-        self.done.fetch_add(1, Ordering::Relaxed);
-        self.report();
-    }
-
-    fn report(&self) {
-        let done = self.done.load(Ordering::Relaxed);
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let active = self.active.lock().unwrap();
-        let labels: Vec<&str> = active
-            .iter()
-            .filter_map(|&i| self.labels.get(i).map(String::as_str))
-            .collect();
-        eprintln!(
-            "{}",
-            progress_line(done, self.total, active.len(), elapsed, &labels)
-        );
-    }
-}
-
-/// Formats one progress report line: jobs done / total, jobs currently in
-/// flight (with a per-label breakdown when the caller labeled its items),
-/// elapsed wallclock seconds, and a linear-extrapolation ETA for the
-/// remaining jobs. Until the first completion lands there is no completion
-/// rate, so the ETA is seeded from the oldest *started* job instead: it
-/// has been running for the whole elapsed window without finishing, so
-/// per-job time is at least `elapsed` and the estimate prints as a `>=`
-/// lower bound (`--` only before any job starts).
-pub fn progress_line(
-    done: usize,
-    total: usize,
-    in_flight: usize,
-    elapsed_s: f64,
-    active: &[&str],
-) -> String {
-    let remaining = total.saturating_sub(done);
-    let eta = if done > 0 {
-        format!("{:.1}s", elapsed_s / done as f64 * remaining as f64)
-    } else if in_flight > 0 && elapsed_s > 0.0 {
-        format!(">={:.1}s", elapsed_s * remaining as f64 / in_flight as f64)
-    } else {
-        "--".to_string()
-    };
-    let breakdown = if active.is_empty() {
-        String::new()
-    } else {
-        format!(" ({})", active.join(" "))
-    };
-    format!(
-        "[pool] {done}/{total} jobs done, {in_flight} in flight{breakdown}, \
-         elapsed {elapsed_s:.1}s, eta {eta}"
-    )
-}
 
 /// Runs `f(index, item)` over every item with at most `jobs` running
 /// concurrently, returning results in input order.
@@ -116,48 +23,18 @@ pub fn progress_line(
 /// `jobs <= 1` (or a single item) recovers strictly serial behaviour: every
 /// job runs inline on the caller's thread and no threads are spawned.
 /// A job that panics yields `Err` carrying the panic message; the remaining
-/// jobs still run to completion. Set `AQUA_BENCH_PROGRESS=1` for a
-/// per-completion progress line on stderr.
+/// jobs still run to completion.
 pub fn run_indexed<I, T, F>(jobs: usize, items: &[I], f: F) -> Vec<Result<T, String>>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    run_labeled(jobs, items, Vec::new(), f)
-}
-
-/// [`run_indexed`] with one progress label per item (`labels[i]` names
-/// `items[i]`; an empty vector disables the breakdown). Labels only feed
-/// the opt-in progress reporter — the sharded simulator passes `chN` so a
-/// long multi-channel run shows *which* channels are still in flight —
-/// and never touch results.
-pub fn run_labeled<I, T, F>(
-    jobs: usize,
-    items: &[I],
-    labels: Vec<String>,
-    f: F,
-) -> Vec<Result<T, String>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let progress = Progress::from_env(items.len(), labels);
     if jobs <= 1 || items.len() <= 1 {
         return items
             .iter()
             .enumerate()
-            .map(|(i, item)| {
-                if let Some(p) = &progress {
-                    p.note_start(i);
-                }
-                let outcome = run_one(i, item, &f);
-                if let Some(p) = &progress {
-                    p.note(i);
-                }
-                outcome
-            })
+            .map(|(i, item)| run_one(i, item, &f))
             .collect();
     }
     let workers = jobs.min(items.len());
@@ -171,14 +48,8 @@ where
                 if i >= items.len() {
                     break;
                 }
-                if let Some(p) = &progress {
-                    p.note_start(i);
-                }
                 let outcome = run_one(i, &items[i], &f);
                 *slots[i].lock().unwrap() = Some(outcome);
-                if let Some(p) = &progress {
-                    p.note(i);
-                }
             });
         }
     });
@@ -277,55 +148,5 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let out: Vec<Result<u8, String>> = run_indexed(4, &[], |_, _: &u8| unreachable!());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn progress_lines_report_elapsed_and_linear_eta() {
-        // 3 of 12 jobs in 6 s -> 2 s/job -> 18 s for the remaining 9.
-        assert_eq!(
-            progress_line(3, 12, 4, 6.0, &[]),
-            "[pool] 3/12 jobs done, 4 in flight, elapsed 6.0s, eta 18.0s"
-        );
-        // Completion reports zero ETA.
-        assert_eq!(
-            progress_line(12, 12, 0, 24.5, &[]),
-            "[pool] 12/12 jobs done, 0 in flight, elapsed 24.5s, eta 0.0s"
-        );
-        // Before the first completion the ETA is seeded from the oldest
-        // started job: 8 jobs in flight for 2 s and none done means every
-        // job takes at least 2 s, so the 12 remaining at 8-wide cost at
-        // least 2.0 * 12 / 8 = 3 s — a lower bound, marked as one.
-        assert_eq!(
-            progress_line(0, 12, 8, 2.0, &[]),
-            "[pool] 0/12 jobs done, 8 in flight, elapsed 2.0s, eta >=3.0s"
-        );
-        // Before anything *starts* there is still nothing to seed from.
-        assert_eq!(
-            progress_line(0, 12, 0, 0.0, &[]),
-            "[pool] 0/12 jobs done, 0 in flight, elapsed 0.0s, eta --"
-        );
-    }
-
-    #[test]
-    fn progress_lines_break_down_labeled_in_flight_jobs() {
-        // Labeled items (the sharded simulator labels channel shards)
-        // show which ones are still in flight.
-        assert_eq!(
-            progress_line(1, 4, 2, 6.0, &["ch1", "ch3"]),
-            "[pool] 1/4 jobs done, 2 in flight (ch1 ch3), elapsed 6.0s, eta 18.0s"
-        );
-    }
-
-    #[test]
-    fn progress_reporter_is_off_by_default() {
-        // Tests run with AQUA_BENCH_PROGRESS unset (or not "1"); the
-        // reporter must stay dormant so stderr-sensitive diffs hold.
-        if std::env::var("AQUA_BENCH_PROGRESS").map(|v| v == "1") != Ok(true) {
-            assert!(Progress::from_env(10, Vec::new()).is_none());
-        }
-        assert!(
-            Progress::from_env(0, Vec::new()).is_none(),
-            "empty pools never report"
-        );
     }
 }

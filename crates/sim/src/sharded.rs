@@ -218,11 +218,7 @@ where
             })
             .collect();
         let workers = self.effective_workers(channels);
-        // Channel labels feed the opt-in progress reporter only
-        // (AQUA_BENCH_PROGRESS=1): a long multi-channel run shows which
-        // channels are still in flight.
-        let labels = (0..channels).map(|c| format!("ch{c}")).collect();
-        let outcomes = pool::run_labeled(workers, &shards, labels, |_, cell| {
+        let outcomes = pool::run_indexed(workers, &shards, |_, cell| {
             let (mut sim, hub) = cell
                 .lock()
                 .unwrap()
