@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks for the hot structures on AQUA's critical
 //! path: CAT/FPT lookup, bloom-filter check, FPT-Cache access, RQA slot
 //! allocation, the deterministic fast-hash map against std's SipHash map,
-//! Misra-Gries update, the telemetry spans the serve path records (the
-//! speculative root on the quiet mitigation path and the per-access leaf
-//! spans), the quarantine operation itself, and the simulator's activation
-//! oracle and shadow-memory check.
+//! Misra-Gries updates on full and on lightly used tables, the telemetry
+//! spans the serve path records (the speculative root on the quiet
+//! mitigation path and the per-access leaf spans), the quarantine
+//! operation itself, and the simulator's activation oracle and
+//! shadow-memory check.
 
 use aqua::{
     AquaConfig, AquaEngine, CollisionAvoidanceTable, FptCache, MappedTables, QuarantineArea,
@@ -119,6 +120,10 @@ fn bench_fastmap(c: &mut Criterion) {
     });
 }
 
+/// `misra_gries_update` spreads activations over every row, so each bank's
+/// table is full and most updates replace an entry. `misra_gries_hot_rows`
+/// hammers four rows per bank and never fills a table: the increment path
+/// that quiet workloads and the migration flood take.
 fn bench_tracker(c: &mut Criterion) {
     let cfg = TrackerConfig::for_rowhammer_threshold(1000);
     let mut tracker = MisraGriesTracker::new(cfg, 16);
@@ -126,9 +131,19 @@ fn bench_tracker(c: &mut Criterion) {
     c.bench_function("misra_gries_update", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);
-            black_box(tracker.on_activation(aqua_dram::RowAddr {
+            black_box(tracker.on_activation(RowAddr {
                 bank: aqua_dram::BankId::new(i % 16),
                 row: i.wrapping_mul(2_654_435_761) % 131_072,
+            }))
+        })
+    });
+    let mut tracker = MisraGriesTracker::new(cfg, 16);
+    c.bench_function("misra_gries_hot_rows", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            black_box(tracker.on_activation(RowAddr {
+                bank: aqua_dram::BankId::new(i % 16),
+                row: (i / 16 % 4) * 4099,
             }))
         })
     });

@@ -104,6 +104,13 @@ fn main() {
     args.finish();
 
     let mut harness = Harness::new(t_rh);
+    // Default to a small representative workload trio; AQUA_BENCH_WORKLOADS
+    // (checked by workloads() before any work) overrides it.
+    let workloads = if std::env::var_os("AQUA_BENCH_WORKLOADS").is_some() {
+        harness.workloads()
+    } else {
+        vec!["mcf".to_string(), "lbm".to_string(), "mix00".to_string()]
+    };
     cli::bind_metrics(&mut harness, metrics_addr);
     harness.epochs = epochs.unwrap_or(harness.epochs);
     harness.watchdog = Some(std::time::Duration::from_secs(watchdog_secs));
@@ -114,14 +121,6 @@ fn main() {
         cell,
         fail_attempts: 1,
     });
-    // Default to a small representative workload trio; AQUA_BENCH_WORKLOADS
-    // (already validated by workloads()) overrides it.
-    let workloads = if std::env::var("AQUA_BENCH_WORKLOADS").is_ok() {
-        harness.workloads()
-    } else {
-        vec!["mcf".to_string(), "lbm".to_string(), "mix00".to_string()]
-    };
-
     // `--fail-on-alert` gates on per-cell `sim.alerts_fired` counters, and
     // the alert engine only runs on an enabled hub — so bring one for the
     // sweep. (A live plane auto-creates its own inside the matrix runner;

@@ -37,6 +37,7 @@ fn attack_outcome<M: Mitigation>(harness: &Harness, engine: M, pattern: Hammer) 
 fn main() {
     aqua_bench::cli::Args::from_env().finish();
     let harness = Harness::new(1000);
+    let workloads = harness.workloads();
     let space = harness.space();
     let vr = || {
         VictimRefresh::new(
@@ -73,7 +74,6 @@ fn main() {
     let (aqua_classic, aqua_hd) = (outcome("aqua-classic"), outcome("aqua-hd"));
 
     // Average slowdown over the workloads (victim refresh < 0.2% in paper).
-    let workloads = harness.workloads();
     let results = harness.run_matrix(
         &[Scheme::Baseline, Scheme::VictimRefresh, Scheme::AquaSram],
         &workloads,

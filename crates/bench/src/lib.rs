@@ -351,15 +351,22 @@ impl Harness {
     /// The workloads to run: all 34 names, or the validated subset selected
     /// by `AQUA_BENCH_WORKLOADS`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the selection names an unknown workload; the message lists
-    /// every valid name.
+    /// A selection that names an unknown workload, or is not UTF-8, ends
+    /// the process with exit code 2 and one line (listing every valid name
+    /// for an unknown one), as a bad argument does, so a binary calls this
+    /// before it does any work.
     pub fn workloads(&self) -> Vec<String> {
-        match Self::select_workloads(std::env::var("AQUA_BENCH_WORKLOADS").ok().as_deref()) {
-            Ok(list) => list,
-            Err(msg) => panic!("{msg}"),
-        }
+        let selection = match std::env::var("AQUA_BENCH_WORKLOADS") {
+            Ok(raw) => Self::select_workloads(Some(&raw)),
+            Err(std::env::VarError::NotPresent) => Self::select_workloads(None),
+            Err(std::env::VarError::NotUnicode(raw)) => {
+                Err(format!("AQUA_BENCH_WORKLOADS {raw:?} is not UTF-8"))
+            }
+        };
+        selection.unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
     }
 
     /// Resolves an `AQUA_BENCH_WORKLOADS`-style selection (`None` = unset).

@@ -86,10 +86,17 @@ pub struct OutputFile {
 impl OutputFile {
     /// Creates the file of every `(flag, path)` given a path. Each path is
     /// opened without truncation first, so one that cannot be created
-    /// exits before any other output loses its previous contents.
+    /// exits before any other output loses its previous contents, and the
+    /// files that did not exist before this call are removed again.
     pub fn create_all<const N: usize>(
         outputs: [(&'static str, Option<String>); N],
     ) -> [Option<OutputFile>; N] {
+        // Nothing at all, not even a dangling symlink, is at these paths.
+        let new: Vec<String> = outputs
+            .iter()
+            .filter_map(|(_, path)| path.clone())
+            .filter(|path| fs::symlink_metadata(path).is_err())
+            .collect();
         let open = |flag: &str, path: &str, truncate: bool| {
             let file = OpenOptions::new()
                 .write(true)
@@ -97,6 +104,9 @@ impl OutputFile {
                 .truncate(truncate)
                 .open(path);
             file.unwrap_or_else(|e| {
+                for path in &new {
+                    let _ = fs::remove_file(path);
+                }
                 eprintln!("cannot create {flag} file {path}: {e}");
                 std::process::exit(2);
             })

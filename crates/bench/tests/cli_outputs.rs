@@ -1,11 +1,13 @@
-//! Arguments and output flags fail before the run. An argument a binary
-//! does not read, or a value it cannot use, ends it with exit code 2 and a
-//! usage line before it does any work. A file that cannot be created ends
-//! `simulate` or `profile` with exit code 2 and a line naming the flag,
-//! not a panic after the whole simulation. A file that cannot be written
+//! Arguments, `AQUA_BENCH_WORKLOADS` and output flags fail before the run.
+//! An argument a binary does not read, or a value it cannot use, ends it
+//! with exit code 2 and a usage line before it does any work; an unknown
+//! workload selection ends it with exit code 2 and one line. A file that
+//! cannot be created ends `simulate` or `profile` with exit code 2 and a
+//! line naming the flag, not a panic after the whole simulation, and the
+//! outputs it had just created are removed. A file that cannot be written
 //! ends it the same way after the run, instead of a silent exit 0.
 
-use std::ffi::OsStr;
+use std::ffi::{OsStr, OsString};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -105,14 +107,107 @@ fn empty_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// The bench binary `name`, to run in `dir`.
+fn bin_in(dir: &Path, name: &str) -> Command {
+    let exe = format!("{name}{}", std::env::consts::EXE_SUFFIX);
+    let mut cmd = Command::new(Path::new(env!("CARGO_BIN_EXE_simulate")).with_file_name(exe));
+    cmd.current_dir(dir);
+    cmd
+}
+
 /// Runs the bench binary `name` with `args` in `dir`.
 fn run_in(dir: &Path, name: &str, args: &[&OsStr]) -> Output {
-    let exe = format!("{name}{}", std::env::consts::EXE_SUFFIX);
-    Command::new(Path::new(env!("CARGO_BIN_EXE_simulate")).with_file_name(exe))
+    bin_in(dir, name)
         .args(args)
-        .current_dir(dir)
         .output()
         .expect("run the binary")
+}
+
+/// When one output cannot be created, the files the others created are
+/// removed again; a file that existed before keeps its contents.
+#[test]
+fn failed_output_removes_the_files_it_created() {
+    let dir = empty_dir("new-outputs");
+    std::fs::write(dir.join("old.json"), "{}").expect("write the previous trace");
+    let out = run_in(
+        &dir,
+        "simulate",
+        &[
+            "--scheme",
+            "baseline",
+            "--workload",
+            "povray",
+            "--epochs",
+            "1",
+            "--spans-out",
+            "old.json",
+            "--trace-out",
+            "new.json",
+            "--histograms",
+            "missing/x.jsonl",
+        ]
+        .map(OsStr::new),
+    );
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    left.sort();
+    let kept = std::fs::read_to_string(dir.join("old.json")).expect("read the trace back");
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot create --histograms file missing/x.jsonl"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(left, ["old.json"], "simulate left {left:?}");
+    assert_eq!(kept, "{}", "simulate truncated an existing output");
+}
+
+/// A mistyped or non-UTF-8 `AQUA_BENCH_WORKLOADS` ends every binary that
+/// reads it with exit code 2 and one line (listing the valid names for a
+/// mistyped one), before it prints, runs or writes anything.
+#[test]
+fn bad_workload_selection_exits_2_before_any_work() {
+    let mut selections = vec![(
+        OsString::from("mcf,nope"),
+        "AQUA_BENCH_WORKLOADS entry \"nope\": unknown workload; valid names: lbm, ",
+    )];
+    #[cfg(unix)]
+    selections.push((
+        std::os::unix::ffi::OsStringExt::from_vec(b"mcf\xff".to_vec()),
+        "AQUA_BENCH_WORKLOADS \"mcf\\xFF\" is not UTF-8",
+    ));
+    let dir = empty_dir("bad-workloads");
+    for name in [
+        "ablation_trackers",
+        "fault_campaign",
+        "fig03_rrs_scaling",
+        "fig06_migrations",
+        "fig07_performance",
+        "fig09_memory_mapped",
+        "fig10_fpt_breakdown",
+        "fig11_threshold_sensitivity",
+        "table4_victim_refresh",
+        "table6_comparison",
+    ] {
+        for (selection, want) in &selections {
+            let out = bin_in(&dir, name)
+                .env("AQUA_BENCH_WORKLOADS", selection)
+                .output()
+                .expect("run the binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+            assert!(stderr.starts_with(want), "{name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} printed to stdout");
+            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert!(left.is_empty(), "{name} created {left:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
 }
 
 /// An argument a binary does not read (`--help` included) or a value it

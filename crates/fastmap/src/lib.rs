@@ -8,14 +8,14 @@
 //!   permutation rounds dominate the probe itself for 4-8 byte keys.
 //! - **Determinism.** The random seed makes *iteration order* differ from
 //!   process to process, so any code that observes iteration order (bloom
-//!   rebuilds, eviction tie-breaks, debug dumps) silently becomes
-//!   nondeterministic across runs even with identical inputs.
+//!   rebuilds, debug dumps) silently becomes nondeterministic across runs
+//!   even with identical inputs.
 //!
 //! [`FxHasher`] is a hand-rolled reimplementation of the Firefox/rustc
 //! "FxHash" multiply-rotate scheme: one rotate, one xor, and one multiply by
 //! a Fibonacci-style constant per 8-byte word, with no per-instance state.
-//! Two processes hashing the same keys always agree, so [`FxHashMap`] /
-//! [`FxHashSet`] iterate identically for identical insertion histories.
+//! Two processes hashing the same keys always agree, so [`FxHashMap`]s
+//! iterate identically for identical insertion histories.
 //!
 //! HashDoS resistance is deliberately traded away: every key hashed here is
 //! a simulator-internal row id or slot index, never attacker-controlled
@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// Multiplier from the FxHash scheme: `2^64 / phi`, an odd constant whose
@@ -133,20 +133,6 @@ impl BuildHasher for FxBuildHasher {
 /// A `HashMap` keyed by the deterministic [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed by the deterministic [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
-/// Creates an empty [`FxHashMap`] (const-friendly alternative to
-/// `FxHashMap::default()` at call sites that want the intent spelled out).
-pub fn fx_map<K, V>() -> FxHashMap<K, V> {
-    FxHashMap::default()
-}
-
-/// Creates an empty [`FxHashSet`].
-pub fn fx_set<T>() -> FxHashSet<T> {
-    FxHashSet::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,25 +190,5 @@ mod tests {
         };
         let keys: Vec<u64> = (0..500).map(|i| i * 37 % 1009).collect();
         assert_eq!(build(&keys), build(&keys));
-    }
-
-    #[test]
-    fn set_membership_round_trips() {
-        let mut s: FxHashSet<u32> = fx_set();
-        for i in 0..100u32 {
-            s.insert(i * 3);
-        }
-        assert!(s.contains(&99));
-        assert!(!s.contains(&100));
-        assert!(s.remove(&99));
-        assert!(!s.contains(&99));
-        assert_eq!(s.len(), 99);
-    }
-
-    #[test]
-    fn fx_map_helper_infers_types() {
-        let mut m = fx_map::<u64, &str>();
-        m.insert(7, "seven");
-        assert_eq!(m.get(&7), Some(&"seven"));
     }
 }

@@ -1,9 +1,9 @@
-//! Property tests: the fast-hash containers must agree with
-//! `std::collections` reference behaviour for any operation interleaving.
+//! Property tests: the fast-hash map must agree with `std::collections`
+//! reference behaviour for any operation interleaving.
 
-use aqua_fastmap::{FxHashMap, FxHashSet};
+use aqua_fastmap::FxHashMap;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -45,24 +45,6 @@ proptest! {
         prop_assert_eq!(total_fx, total_ref);
         for (k, v) in &reference {
             prop_assert_eq!(fx.get(k), Some(v));
-        }
-    }
-
-    /// Set membership after arbitrary insert/remove matches the reference.
-    #[test]
-    fn set_matches_reference(ops in prop::collection::vec((0u64..200, any::<bool>()), 1..300)) {
-        let mut fx: FxHashSet<u64> = FxHashSet::default();
-        let mut reference: HashSet<u64> = HashSet::new();
-        for (key, insert) in ops {
-            if insert {
-                prop_assert_eq!(fx.insert(key), reference.insert(key));
-            } else {
-                prop_assert_eq!(fx.remove(&key), reference.remove(&key));
-            }
-            prop_assert_eq!(fx.len(), reference.len());
-        }
-        for k in &reference {
-            prop_assert!(fx.contains(k));
         }
     }
 

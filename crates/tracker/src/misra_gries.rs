@@ -2,105 +2,235 @@
 
 use crate::{AggressorTracker, TrackerConfig, TrackerDecision, TrackerStats};
 use aqua_dram::RowAddr;
-use aqua_fastmap::{FxHashMap, FxHashSet};
-use std::collections::BTreeMap;
+use aqua_fastmap::FxHashMap;
 
-/// One bank's Space-Saving summary.
+/// The end of a list: no slot or bucket.
+const NIL: u32 = u32::MAX;
+
+/// A tracked row and its place in its bucket's list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    row: u32,
+    bucket: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// The rows that share one count, in the order they reached it, linked to
+/// the buckets with the next lower (`down`) and higher (`up`) counts.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    count: u64,
+    head: u32,
+    tail: u32,
+    down: u32,
+    up: u32,
+}
+
+/// One bank's Space-Saving summary, kept as Metwally et al.'s
+/// stream-summary: a slot per tracked row, in a list per distinct count,
+/// with the lists linked in count order.
 ///
-/// Invariant: `counts` and `buckets` describe the same multiset — every
-/// tracked row appears in exactly one bucket, keyed by its current count.
-///
-/// Both hash containers use the deterministic [`aqua_fastmap`] hasher: the
-/// replacement victim is chosen by set iteration order, which with the
-/// seedless hasher is a pure function of the insertion history — identical
-/// access streams evict identical rows in every process.
-#[derive(Debug, Default)]
+/// An increment moves one slot to the tail of the count + 1 bucket, and a
+/// full table evicts the head of the minimum bucket, so both are O(1). The
+/// victim is therefore *the row that has been at the minimum count
+/// longest*. The arenas grow on first use and [`BankSummary::clear`] keeps
+/// their capacity, so a bank that has reached its working size allocates
+/// nothing more.
+#[derive(Debug)]
 struct BankSummary {
-    counts: FxHashMap<u32, u64>,
-    buckets: BTreeMap<u64, FxHashSet<u32>>,
+    /// Row to slot.
+    index: FxHashMap<u32, u32>,
+    slots: Vec<Slot>,
+    buckets: Vec<Bucket>,
+    /// The lowest-count bucket, or `NIL` when nothing is tracked.
+    min: u32,
+    /// Freed buckets, linked through `up`.
+    free: u32,
     replacements: u64,
 }
 
 impl BankSummary {
-    fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    fn min_count(&self) -> u64 {
-        self.buckets.keys().next().copied().unwrap_or(0)
-    }
-
-    fn move_bucket(&mut self, row: u32, from: u64, to: u64) {
-        let empty = {
-            let set = self
-                .buckets
-                .get_mut(&from)
-                .expect("bucket for tracked count must exist");
-            set.remove(&row);
-            set.is_empty()
-        };
-        if empty {
-            self.buckets.remove(&from);
+    fn new() -> Self {
+        BankSummary {
+            index: FxHashMap::default(),
+            slots: Vec::new(),
+            buckets: Vec::new(),
+            min: NIL,
+            free: NIL,
+            replacements: 0,
         }
-        self.buckets.entry(to).or_default().insert(row);
+    }
+
+    fn estimate(&self, row: u32) -> Option<u64> {
+        let slot = *self.index.get(&row)?;
+        Some(self.buckets[self.slots[slot as usize].bucket as usize].count)
     }
 
     /// Records one activation; returns the row's new estimated count.
     fn touch(&mut self, row: u32, capacity: usize) -> u64 {
-        if let Some(count) = self.counts.get_mut(&row) {
-            let old = *count;
-            *count += 1;
-            let new = *count;
-            self.move_bucket(row, old, new);
-            return new;
+        if let Some(&slot) = self.index.get(&row) {
+            return self.increment(slot);
         }
-        if self.len() < capacity {
-            self.counts.insert(row, 1);
-            self.buckets.entry(1).or_default().insert(row);
+        if self.slots.len() < capacity {
+            let slot = self.slots.len() as u32;
+            self.slots.push(Slot {
+                row,
+                bucket: NIL,
+                prev: NIL,
+                next: NIL,
+            });
+            self.index.insert(row, slot);
+            let ones = match self.min {
+                min if min != NIL && self.buckets[min as usize].count == 1 => min,
+                min => self.new_bucket(1, NIL, min),
+            };
+            self.append(ones, slot);
             return 1;
         }
-        // Table full: replace a minimum-count entry. The newcomer inherits
-        // min + 1 — the overestimate that causes the paper's spurious
+        // Table full: the newcomer takes the victim's slot and inherits
+        // min + 1, the overestimate that causes the paper's spurious
         // mitigations (section IV-F).
-        let min = self.min_count();
-        let victim = *self
-            .buckets
-            .get(&min)
-            .and_then(|s| s.iter().next())
-            .expect("non-empty summary must have a min bucket");
-        self.counts.remove(&victim);
-        if let Some(set) = self.buckets.get_mut(&min) {
-            set.remove(&victim);
-            if set.is_empty() {
-                self.buckets.remove(&min);
-            }
-        }
+        let slot = self.buckets[self.min as usize].head;
+        let victim = std::mem::replace(&mut self.slots[slot as usize].row, row);
+        self.index.remove(&victim);
+        self.index.insert(row, slot);
         self.replacements += 1;
-        let new = min + 1;
-        self.counts.insert(row, new);
-        self.buckets.entry(new).or_default().insert(row);
-        new
+        self.increment(slot)
+    }
+
+    /// Moves `slot` to the tail of the next count's bucket; returns that
+    /// count.
+    fn increment(&mut self, slot: u32) -> u64 {
+        let from = self.slots[slot as usize].bucket;
+        let Bucket {
+            count,
+            head,
+            tail,
+            up,
+            ..
+        } = self.buckets[from as usize];
+        let count = count + 1;
+        let to = if up != NIL && self.buckets[up as usize].count == count {
+            up
+        } else if head == tail {
+            // The row is alone at its count, so its bucket moves up with it.
+            self.buckets[from as usize].count = count;
+            return count;
+        } else {
+            self.new_bucket(count, from, up)
+        };
+        self.unlink(slot);
+        self.append(to, slot);
+        count
+    }
+
+    /// A bucket for `count`, linked between `down` and `up`.
+    fn new_bucket(&mut self, count: u64, down: u32, up: u32) -> u32 {
+        let bucket = Bucket {
+            count,
+            head: NIL,
+            tail: NIL,
+            down,
+            up,
+        };
+        let b = if self.free == NIL {
+            self.buckets.push(bucket);
+            self.buckets.len() as u32 - 1
+        } else {
+            let b = self.free;
+            self.free = self.buckets[b as usize].up;
+            self.buckets[b as usize] = bucket;
+            b
+        };
+        match down {
+            NIL => self.min = b,
+            down => self.buckets[down as usize].up = b,
+        }
+        if up != NIL {
+            self.buckets[up as usize].down = b;
+        }
+        b
+    }
+
+    fn append(&mut self, bucket: u32, slot: u32) {
+        let tail = self.buckets[bucket as usize].tail;
+        self.slots[slot as usize] = Slot {
+            bucket,
+            prev: tail,
+            next: NIL,
+            ..self.slots[slot as usize]
+        };
+        match tail {
+            NIL => self.buckets[bucket as usize].head = slot,
+            tail => self.slots[tail as usize].next = slot,
+        }
+        self.buckets[bucket as usize].tail = slot;
+    }
+
+    /// Takes `slot` out of its bucket, freeing the bucket if it empties.
+    fn unlink(&mut self, slot: u32) {
+        let Slot {
+            bucket, prev, next, ..
+        } = self.slots[slot as usize];
+        match prev {
+            NIL => self.buckets[bucket as usize].head = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.buckets[bucket as usize].tail = prev,
+            next => self.slots[next as usize].prev = prev,
+        }
+        if self.buckets[bucket as usize].head != NIL {
+            return;
+        }
+        let Bucket { down, up, .. } = self.buckets[bucket as usize];
+        match down {
+            NIL => self.min = up,
+            down => self.buckets[down as usize].up = up,
+        }
+        if up != NIL {
+            self.buckets[up as usize].down = down;
+        }
+        self.buckets[bucket as usize].up = self.free;
+        self.free = bucket;
     }
 
     fn clear(&mut self) {
-        self.counts.clear();
+        self.index.clear();
+        self.slots.clear();
         self.buckets.clear();
+        self.min = NIL;
+        self.free = NIL;
     }
 
-    /// Injected fault: pegs every tracked row's count to `value`. All rows
-    /// land in one bucket, so the summary invariant holds and the end state
-    /// is independent of map iteration order.
+    /// Injected fault: pegs every tracked row's count to `value`. The rows
+    /// end in one bucket, in ascending-count and then FIFO order.
     fn saturate_to(&mut self, value: u64) {
-        let rows: Vec<u32> = self.counts.keys().copied().collect();
-        if rows.is_empty() {
+        if self.min == NIL {
             return;
         }
-        self.counts.clear();
-        self.buckets.clear();
-        for &row in &rows {
-            self.counts.insert(row, value);
+        let Bucket {
+            head,
+            mut tail,
+            mut up,
+            ..
+        } = self.buckets[self.min as usize];
+        while up != NIL {
+            let next = self.buckets[up as usize];
+            self.slots[tail as usize].next = next.head;
+            self.slots[next.head as usize].prev = tail;
+            tail = next.tail;
+            up = next.up;
         }
-        self.buckets.insert(value, rows.into_iter().collect());
+        self.buckets.clear();
+        self.free = NIL;
+        let all = self.new_bucket(value, NIL, NIL);
+        let bucket = &mut self.buckets[all as usize];
+        (bucket.head, bucket.tail) = (head, tail);
+        for slot in &mut self.slots {
+            slot.bucket = all;
+        }
     }
 }
 
@@ -134,7 +264,7 @@ impl MisraGriesTracker {
     pub fn new(config: TrackerConfig, banks: u32) -> Self {
         MisraGriesTracker {
             config,
-            banks: (0..banks).map(|_| BankSummary::default()).collect(),
+            banks: (0..banks).map(|_| BankSummary::new()).collect(),
             stats: TrackerStats::default(),
         }
     }
@@ -148,7 +278,7 @@ impl MisraGriesTracker {
     pub fn estimate(&self, row: RowAddr) -> Option<u64> {
         self.banks
             .get(row.bank.index() as usize)
-            .and_then(|b| b.counts.get(&row.row).copied())
+            .and_then(|b| b.estimate(row.row))
     }
 }
 
@@ -266,6 +396,43 @@ mod tests {
         assert_eq!(d.estimate(), 4);
         assert_eq!(t.estimate(row(0, 2)), None);
         assert_eq!(t.stats().replacements, 1);
+    }
+
+    #[test]
+    fn victim_is_the_row_longest_at_the_minimum_count() {
+        let mut t = tracker(100, 3);
+        // Rows 1, 2 and 3 enter in that order but reach count 2 in the
+        // order 2, 3, 1.
+        for r in [1, 2, 3, 2, 3, 1] {
+            t.on_activation(row(0, r));
+        }
+        // Each newcomer evicts the row that reached the minimum count
+        // first and queues behind the rows already at min + 1.
+        for (newcomer, victim, min) in [(4, 2, 2), (5, 3, 2), (6, 1, 2), (7, 4, 3), (8, 5, 3)] {
+            assert_eq!(t.estimate(row(0, victim)), Some(min));
+            assert_eq!(t.on_activation(row(0, newcomer)).estimate(), min + 1);
+            assert_eq!(
+                t.estimate(row(0, victim)),
+                None,
+                "{newcomer} evicts {victim}"
+            );
+        }
+        assert_eq!(t.stats().replacements, 5);
+    }
+
+    #[test]
+    fn saturation_keeps_count_then_arrival_order() {
+        let mut t = tracker(10, 3);
+        // Counts 3, 1 and 2 for rows 1, 2 and 3.
+        for r in [1, 1, 1, 2, 3, 3] {
+            t.on_activation(row(0, r));
+        }
+        assert!(t.inject_saturate());
+        // All three sit at 9 now, ordered by their old counts: 2, 3, 1.
+        for (newcomer, victim) in [(4, 2), (5, 3), (6, 1)] {
+            assert_eq!(t.on_activation(row(0, newcomer)).estimate(), 10);
+            assert_eq!(t.estimate(row(0, victim)), None, "row {newcomer}");
+        }
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //! performance, migrations, and the security verdict, side by side.
 //!
 //! ```text
-//! cargo run --release --example mitigation_compare [workload]
+//! cargo run --release --example mitigation_compare [-- --workload NAME]
 //! ```
 //!
-//! `workload` is any Table II name (`lbm`, `mcf`, ...) or `mixNN`
-//! (default `mix00`).
+//! `--workload` is any Table II name (`lbm`, `mcf`, ...) or `mixNN`
+//! (default `mix00`). Any other argument, or an unknown name, exits 2
+//! with a usage line before the first run.
 
+use aqua_bench::cli::Args;
 use aqua_bench::{Harness, Scheme};
 
 fn main() {
-    let workload = std::env::args().nth(1).unwrap_or_else(|| "mix00".into());
+    let mut args = Args::from_env();
+    let workload = args
+        .parse_with("--workload", "NAME", Harness::known_workload)
+        .unwrap_or_else(|| "mix00".into());
+    args.finish();
     let harness = Harness::new(1000);
     let baseline = harness.run(Scheme::Baseline, &workload);
     println!(
