@@ -31,6 +31,9 @@ expect_exit() {
 run cargo fmt --all --check
 
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Docs build without warnings: an unresolved intra-doc link, or one to a
+# private item, fails here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 run cargo test --offline --workspace -q
 
 # Criterion benches in check mode: every bench body must still execute

@@ -111,7 +111,7 @@ impl ResettableBloomFilter {
     /// the last entry of all aliasing groups goes away.
     ///
     /// A remove that finds a zero count saturates (and bumps
-    /// [`BloomStats::underflows`]) instead of panicking: injected filter
+    /// `BloomStats::underflows`) instead of panicking: injected filter
     /// faults can legitimately zero a count while entries still exist, and
     /// the end-of-epoch audit rebuilds the counts from the FPT afterwards.
     pub fn remove(&mut self, group: u64) {

@@ -17,7 +17,7 @@ pub enum TrackerKind {
     /// Hydra-style hybrid SRAM/DRAM tracker (Appendix B).
     Hydra,
     /// CRA-style exact in-DRAM counters behind an SRAM counter cache
-    /// (reference [14] of the paper).
+    /// (reference \[14\] of the paper).
     Cra,
     /// Idealized exact per-row counters (for analysis and tests).
     Exact,
@@ -99,15 +99,23 @@ pub fn required_rqa_rows(timing: &DdrTiming, geometry: &DramGeometry, a: u64) ->
 }
 
 impl AquaConfig {
+    /// The lowest Rowhammer threshold [`AquaConfig::for_rowhammer_threshold`]
+    /// accepts: below it the mitigation threshold `t_rh / 2` is 0.
+    pub const MIN_T_RH: u64 = 2;
+
     /// Builds the paper's default AQUA configuration for a Rowhammer
     /// threshold `t_rh` on the given baseline system: mitigation threshold
     /// `t_rh / 2`, RQA sized by Eq. 3, SRAM tables.
     ///
     /// # Panics
     ///
-    /// Panics if `t_rh < 2`.
+    /// Panics if `t_rh` is below [`AquaConfig::MIN_T_RH`].
     pub fn for_rowhammer_threshold(t_rh: u64, base: &BaselineConfig) -> Self {
-        assert!(t_rh >= 2, "Rowhammer threshold must be at least 2");
+        assert!(
+            t_rh >= Self::MIN_T_RH,
+            "Rowhammer threshold must be at least {}",
+            Self::MIN_T_RH
+        );
         let a = t_rh / 2;
         let rqa_rows = required_rqa_rows(&base.timing, &base.geometry, a);
         // FPT over-provisioning mirrors the paper: 32K entries for 23K rows.

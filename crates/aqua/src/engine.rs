@@ -41,8 +41,7 @@ aqua_telemetry::stat_struct! {
     }
 }
 
-/// Registered telemetry counter handles (plain cells when the `telemetry`
-/// feature is off).
+/// Registered telemetry counter handles (inert when no hub is attached).
 #[derive(Debug, Clone, Default)]
 struct AquaCounters {
     installs: Counter,

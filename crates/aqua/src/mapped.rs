@@ -129,11 +129,6 @@ impl MappedTables {
         self.pinned.entry(row.index()).or_insert(None);
     }
 
-    /// Whether `row` has a pinned SRAM entry.
-    pub fn is_pinned(&self, row: GlobalRowId) -> bool {
-        self.pinned.contains_key(&row.index())
-    }
-
     /// Number of pinned entries.
     pub fn pinned_count(&self) -> usize {
         self.pinned.len()

@@ -54,11 +54,6 @@ impl StorageReport {
     pub fn total_sram_bytes(&self) -> u64 {
         self.mapping_sram_bytes + self.copy_buffer_bytes
     }
-
-    /// Total DRAM reserved, bytes.
-    pub fn total_dram_bytes(&self) -> u64 {
-        self.rqa_dram_bytes + self.table_dram_bytes
-    }
 }
 
 #[cfg(test)]

@@ -19,14 +19,23 @@ pub struct BlockhammerConfig {
 }
 
 impl BlockhammerConfig {
+    /// The lowest Rowhammer threshold
+    /// [`BlockhammerConfig::for_rowhammer_threshold`] accepts: below it the
+    /// quota `t_rh / 2` is 0.
+    pub const MIN_T_RH: u64 = 2;
+
     /// The section VII-B comparison point: blacklist at 256, quota
     /// `t_rh / 2` per 64 ms window.
     ///
     /// # Panics
     ///
-    /// Panics if `t_rh < 2`.
+    /// Panics if `t_rh` is below [`BlockhammerConfig::MIN_T_RH`].
     pub fn for_rowhammer_threshold(t_rh: u64) -> Self {
-        assert!(t_rh >= 2, "Rowhammer threshold must be at least 2");
+        assert!(
+            t_rh >= Self::MIN_T_RH,
+            "Rowhammer threshold must be at least {}",
+            Self::MIN_T_RH
+        );
         BlockhammerConfig {
             blacklist_threshold: 256.min(t_rh / 2),
             quota: t_rh / 2,

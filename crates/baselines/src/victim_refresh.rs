@@ -21,13 +21,22 @@ pub struct VictimRefreshConfig {
 }
 
 impl VictimRefreshConfig {
+    /// The lowest Rowhammer threshold
+    /// [`VictimRefreshConfig::for_rowhammer_threshold`] accepts: below it
+    /// the refresh threshold `t_rh / 2` is 0.
+    pub const MIN_T_RH: u64 = 2;
+
     /// Classic distance-1 victim refresh for a Rowhammer threshold.
     ///
     /// # Panics
     ///
-    /// Panics if `t_rh < 2`.
+    /// Panics if `t_rh` is below [`VictimRefreshConfig::MIN_T_RH`].
     pub fn for_rowhammer_threshold(t_rh: u64) -> Self {
-        assert!(t_rh >= 2, "Rowhammer threshold must be at least 2");
+        assert!(
+            t_rh >= Self::MIN_T_RH,
+            "Rowhammer threshold must be at least {}",
+            Self::MIN_T_RH
+        );
         let a = t_rh / 2;
         const ACT_MAX: u64 = 1_360_000;
         VictimRefreshConfig {

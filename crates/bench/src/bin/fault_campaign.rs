@@ -10,7 +10,8 @@
 //! - `--seed`: campaign base seed (default 42). Every `(scheme, workload)`
 //!   cell derives its own plan seed from it, so two runs with the same seed
 //!   produce byte-identical CSVs — `ci.sh` diffs exactly that.
-//! - `--trh`: Rowhammer threshold (default 1000)
+//! - `--trh`: Rowhammer threshold (default 1000, at least every swept
+//!   scheme's minimum)
 //! - `--epochs`: 64 ms epochs per cell (default 2, or `AQUA_BENCH_EPOCHS`)
 //! - `--rates`: comma-separated fault events per epoch (default `0,2,8,32`)
 //! - `--watchdog-secs`: per-cell wall-clock budget; a cell that exceeds it
@@ -20,7 +21,8 @@
 //! - `--resume`: checkpoint journal path (see DESIGN.md section 14). Every
 //!   concluded cell is durable before the sweep moves on; re-running with
 //!   the same journal replays concluded cells and re-runs only the rest,
-//!   and the final CSV is byte-identical to an uninterrupted run.
+//!   and the final CSV is byte-identical to an uninterrupted run. A
+//!   journal that cannot be opened or read exits 2 before any cell runs.
 //! - `--strict`: also exit non-zero when a cell was *quarantined* as
 //!   nondeterministic (by default quarantine is reported but not fatal,
 //!   keeping it distinct from the failed-cell exit).
@@ -78,7 +80,7 @@ const HEADER: [&str; 15] = [
 fn main() {
     let mut args = Args::from_env();
     let seed: u64 = args.parse("--seed", "N").unwrap_or(42);
-    let t_rh: u64 = args.parse("--trh", "N").unwrap_or(1000);
+    let t_rh = args.t_rh(&SCHEMES);
     let epochs: Option<u64> = args.parse("--epochs", "N");
     let rates: Vec<u32> = args
         .parse_with("--rates", "A,B,C", |raw| {

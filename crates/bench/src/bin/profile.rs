@@ -32,13 +32,14 @@
 //!
 //! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel. Arguments
 //! are checked as `simulate` checks them: one it does not read, an unknown
-//! scheme or workload, or an unparsable number exits 2 before anything
-//! runs. Both output files are created before the simulation starts, as
-//! `simulate` creates its outputs: neither is truncated until both open,
-//! and only `target/experiments` is made if missing, so a flag naming a
-//! path in a missing directory, or any file that cannot be created,
-//! written or flushed, ends the program with exit code 2 and a line naming
-//! its flag and path.
+//! scheme or workload, an unparsable number, or a `--trh` below the
+//! scheme's minimum exits 2 before anything runs. Both output files are
+//! created before the simulation starts, as `simulate` creates its
+//! outputs: neither is truncated until both open, and only
+//! `target/experiments` is made if missing, so a flag naming a path in a
+//! missing directory, or any file that cannot be created, written or
+//! flushed, ends the program with exit code 2 and a line naming its flag
+//! and path.
 
 use aqua_bench::cli::Args;
 use aqua_bench::output::{write_csv_instrumented, OutputFile};
@@ -92,7 +93,7 @@ fn main() {
     let workload = args
         .parse_with("--workload", "NAME", Harness::known_workload)
         .unwrap_or_else(|| "mcf".into());
-    let t_rh: u64 = args.parse("--trh", "N").unwrap_or(1000);
+    let t_rh = args.t_rh(&[scheme]);
     let epochs: u64 = args.parse("--epochs", "N").unwrap_or(1);
     let channels: u32 = args
         .parse_with("--channels", "N", |raw| match raw.parse() {

@@ -10,7 +10,8 @@
 //! - `--scheme`: baseline | aqua-sram | aqua-mapped | rrs | victim-refresh |
 //!   blockhammer (default aqua-sram)
 //! - `--workload`: any Table II name or `mixNN` (default mcf)
-//! - `--trh`: Rowhammer threshold (default 1000)
+//! - `--trh`: Rowhammer threshold (default 1000, at least the scheme's
+//!   minimum)
 //! - `--epochs`: 64 ms epochs to simulate (default 2)
 //! - `--trace-out`: write the event trace **and causal migration spans** as
 //!   a Chrome-loadable JSON file (open in `chrome://tracing` or Perfetto;
@@ -35,11 +36,12 @@
 //! shadow-memory integrity check, and — when a hub is attached — a
 //! host-throughput section (accesses per wallclock second; see DESIGN.md
 //! §12 on host vs simulated time). An argument it does not read, an
-//! unknown scheme or workload, or an unparsable number ends the program
-//! with exit code 2 before anything runs. Every output file is created
-//! before the simulation starts, and none is truncated until all of them
-//! open; one that cannot be created, written or flushed ends the program
-//! with exit code 2 and a line naming its flag and path.
+//! unknown scheme or workload, an unparsable number, or a `--trh` below
+//! the scheme's minimum ends the program with exit code 2 before anything
+//! runs. Every output file is created before the simulation starts, and
+//! none is truncated until all of them open; one that cannot be created,
+//! written or flushed ends the program with exit code 2 and a line naming
+//! its flag and path.
 
 use aqua_bench::cli::{self, Args};
 use aqua_bench::output::OutputFile;
@@ -60,7 +62,7 @@ fn main() {
     let workload = args
         .parse_with("--workload", "NAME", Harness::known_workload)
         .unwrap_or_else(|| "mcf".into());
-    let t_rh: u64 = args.parse("--trh", "N").unwrap_or(1000);
+    let t_rh = args.t_rh(&[scheme]);
     let epochs: Option<u64> = args.parse("--epochs", "N");
     let outputs = [
         "--trace-out",

@@ -1,21 +1,22 @@
 //! Command-line arguments of the bench binaries.
 //!
 //! A binary reads each of its flags once, with [`Args::value`],
-//! [`Args::required`], [`Args::parse`], [`Args::parse_with`] or
-//! [`Args::switch`], and then calls [`Args::finish`] before any other
-//! work. `finish` exits with code 2, printing one line per problem and a
-//! usage line built from the flags read, when an argument was not consumed
-//! (an unknown flag, `--help`, a positional argument) or a read met a
-//! problem (a flag without its value, or an unparsable, repeated or
-//! non-UTF-8 value). A flag's value is the argument after it, unless that
-//! argument starts with `--`.
+//! [`Args::required`], [`Args::parse`], [`Args::parse_with`],
+//! [`Args::switch`] or [`Args::t_rh`], and then calls [`Args::finish`]
+//! before any other work. `finish` exits with code 2, printing one line per
+//! problem and a usage line built from the flags read, when an argument was
+//! not consumed (an unknown flag, `--help`, a positional argument) or a
+//! read met a problem (a flag without its value, or an unparsable,
+//! repeated, non-UTF-8 or out-of-range value). A flag's value is the
+//! argument after it, unless that argument starts with `--`.
 
 use std::ffi::OsString;
 use std::fmt::Display;
+use std::num::ParseIntError;
 use std::path::Path;
 use std::str::FromStr;
 
-use crate::Harness;
+use crate::{Harness, Scheme};
 
 /// The arguments of one process, consumed by the flags its binary reads.
 pub struct Args {
@@ -82,6 +83,21 @@ impl Args {
         parse(&raw)
             .map_err(|e| self.problems.push(format!("{flag} {raw:?}: {e}")))
             .ok()
+    }
+
+    /// The Rowhammer threshold `--trh N` (default 1000). A value below the
+    /// lowest threshold one of `schemes` accepts is a problem, so a binary
+    /// rejects it before any scheme's configuration would panic on it.
+    pub fn t_rh(&mut self, schemes: &[Scheme]) -> u64 {
+        let strictest = schemes.iter().copied().max_by_key(|s| s.min_t_rh());
+        self.parse_with("--trh", "N", |raw| {
+            let t_rh: u64 = raw.parse().map_err(|e: ParseIntError| e.to_string())?;
+            match strictest.filter(|s| t_rh < s.min_t_rh()) {
+                Some(s) => Err(format!("{} needs T_RH >= {}", s.name(), s.min_t_rh())),
+                None => Ok(t_rh),
+            }
+        })
+        .unwrap_or(1000)
     }
 
     /// Whether the switch `flag` is given.

@@ -58,7 +58,7 @@ pub mod tolerance {
     /// run's median accesses/sec must be at least this multiple of the
     /// single-worker run's. Only enforced when the measuring host has at
     /// least as many cores as the canary has channels
-    /// ([`ScalingMetrics::host_parallelism`]) — on a smaller host the
+    /// ([`super::ScalingMetrics::host_parallelism`]) — on a smaller host the
     /// shards time-slice one core and no parallel speedup can physically
     /// exist, so the numbers are recorded honestly but not gated.
     pub const SCALING_MIN_SPEEDUP: f64 = 2.5;

@@ -35,7 +35,7 @@
 //! recursive-descent parser ([`crate::gate::json`]) and hand-rolled
 //! writers. Integers round-trip through `f64`, which is exact below
 //! 2^53 — far beyond any counter a simulated campaign produces (enforced
-//! in [`push_u64`]).
+//! in `push_u64`).
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;

@@ -132,6 +132,18 @@ impl Scheme {
             Scheme::Blockhammer => "blockhammer",
         }
     }
+
+    /// The lowest Rowhammer threshold the scheme's configuration accepts
+    /// (0 for the baseline, which has none).
+    pub fn min_t_rh(self) -> u64 {
+        match self {
+            Scheme::Baseline => 0,
+            Scheme::AquaSram | Scheme::AquaMapped => AquaConfig::MIN_T_RH,
+            Scheme::Rrs => RrsConfig::MIN_T_RH,
+            Scheme::VictimRefresh => VictimRefreshConfig::MIN_T_RH,
+            Scheme::Blockhammer => BlockhammerConfig::MIN_T_RH,
+        }
+    }
 }
 
 /// Soft/hard per-cell wall-clock deadlines, both derivable from the one
@@ -477,15 +489,18 @@ impl Harness {
 
     /// Opens this harness's checkpoint journal, if one is configured.
     ///
-    /// # Panics
-    ///
-    /// Panics when the journal exists but cannot be read (an unsupported
-    /// format version, an unreadable file): resuming against a journal we
+    /// A journal that cannot be opened or read (a path that cannot be
+    /// created, an unreadable file, an unsupported format version) ends the
+    /// process with exit code 2 and one line naming it, as a bad argument
+    /// does, and leaves the file as it was: resuming against a journal we
     /// cannot honour must not silently restart the campaign from zero.
+    /// Every caller opens the journal before its first cell runs.
     pub fn open_journal(&self) -> Option<journal::Journal> {
-        self.journal
-            .as_ref()
-            .map(|path| journal::Journal::open(path).unwrap_or_else(|e| panic!("{e}")))
+        let path = self.journal.as_ref()?;
+        Some(journal::Journal::open(path).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }))
     }
 
     /// Trips the configured chaos sabotage for a matching cell/attempt.

@@ -1,11 +1,12 @@
-//! Arguments, `AQUA_BENCH_WORKLOADS` and output flags fail before the run.
-//! An argument a binary does not read, or a value it cannot use, ends it
-//! with exit code 2 and a usage line before it does any work; an unknown
-//! workload selection ends it with exit code 2 and one line. A file that
-//! cannot be created ends `simulate` or `profile` with exit code 2 and a
-//! line naming the flag, not a panic after the whole simulation, and the
-//! outputs it had just created are removed. A file that cannot be written
-//! ends it the same way after the run, instead of a silent exit 0.
+//! Arguments, `AQUA_BENCH_WORKLOADS`, journals and output flags fail
+//! before the run. An argument a binary does not read, or a value it cannot
+//! use, ends it with exit code 2 and a usage line before it does any work;
+//! an unknown workload selection, or a journal that cannot be opened or
+//! read, ends it with exit code 2 and one line. A file that cannot be
+//! created ends `simulate` or `profile` with exit code 2 and a line naming
+//! the flag, not a panic after the whole simulation, and the outputs it had
+//! just created are removed. A file that cannot be written ends it the same
+//! way after the run, instead of a silent exit 0.
 
 use std::ffi::{OsStr, OsString};
 use std::path::{Path, PathBuf};
@@ -250,6 +251,31 @@ fn bad_arguments_exit_2_before_any_work() {
         ],
         "simulate: --workload \"mcf\\xFF\" is not UTF-8\n".into(),
     ));
+    // A threshold below a scheme's minimum would panic in its config.
+    for (scheme, below, min) in [
+        ("aqua-sram", "1", 2),
+        ("aqua-mapped", "1", 2),
+        ("rrs", "5", 6),
+        ("victim-refresh", "1", 2),
+        ("blockhammer", "1", 2),
+    ] {
+        for name in ["simulate", "profile"] {
+            let args = ["--scheme", scheme, "--trh", below];
+            let want = format!("{name}: --trh \"{below}\": {scheme} needs T_RH >= {min}\n");
+            cases.push((name, args.map(OsStr::new).to_vec(), want));
+        }
+    }
+    let profile_files = ["--trh", "1", "--folded", "p.folded", "--jsonl", "p.jsonl"];
+    cases.push((
+        "profile",
+        profile_files.map(OsStr::new).to_vec(),
+        "profile: --trh \"1\": aqua-sram needs T_RH >= 2\n".into(),
+    ));
+    cases.push((
+        "fault_campaign",
+        vec!["--trh".as_ref(), "5".as_ref()],
+        "fault_campaign: --trh \"5\": rrs needs T_RH >= 6\n".into(),
+    ));
     let dir = empty_dir("bad-arguments");
     for (name, args, want) in cases {
         let out = run_in(&dir, name, &args);
@@ -262,6 +288,46 @@ fn bad_arguments_exit_2_before_any_work() {
         assert!(left.is_empty(), "{name} {args:?} created {left:?}");
     }
     std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+}
+
+/// A journal that cannot be opened (its parent is a file) or read (a
+/// format version this build does not know) ends a binary with exit code 2
+/// and one line naming it, before any cell runs: no CSV is written and the
+/// journal keeps its bytes.
+#[test]
+fn unusable_journal_exits_2_before_any_cell() {
+    let dir = empty_dir("bad-journal");
+    let future = "{\"v\":2,\"key\":\"0000000000000000\",\"label\":\"x\",\"status\":\"ok\",\
+                  \"retriable\":false,\"attempts\":1}\n";
+    std::fs::write(dir.join("v2.jsonl"), future).expect("write the v2 journal");
+    for journal in ["/dev/null/x", "v2.jsonl"] {
+        let fig06 = bin_in(&dir, "fig06_migrations")
+            .env("AQUA_BENCH_JOURNAL", journal)
+            .env("AQUA_BENCH_WORKLOADS", "povray")
+            .env("AQUA_BENCH_EPOCHS", "1")
+            .output()
+            .expect("run fig06_migrations");
+        let campaign = bin_in(&dir, "fault_campaign")
+            .args(["--epochs", "1", "--rates", "0", "--resume", journal])
+            .env("AQUA_BENCH_WORKLOADS", "povray")
+            .output()
+            .expect("run fault_campaign");
+        for (name, out) in [("fig06_migrations", fig06), ("fault_campaign", campaign)] {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {journal}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{name} {journal}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("journal {journal}")),
+                "{name}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+            let experiments = dir.join("target/experiments");
+            assert!(!experiments.exists(), "{name} {journal} wrote a CSV");
+        }
+    }
+    let kept = std::fs::read_to_string(dir.join("v2.jsonl")).expect("read the journal back");
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+    assert_eq!(kept, future, "the v2 journal changed");
 }
 
 /// `--help` is an unknown flag like any other: no campaign starts, and the

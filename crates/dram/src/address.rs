@@ -6,12 +6,7 @@ use std::fmt;
 /// Identifies one bank within one channel.
 ///
 /// Ranks are flattened into the bank index: bank `b` of rank `r` has index
-/// `r * banks_per_rank + b`. Use
-/// [`DramGeometry::rank_of`](crate::DramGeometry::rank_of) /
-/// [`DramGeometry::bank_in_rank`](crate::DramGeometry::bank_in_rank) to
-/// recover the rank coordinates, and
-/// [`TopologyConfig`](crate::TopologyConfig) to decode full
-/// channel/rank/bank/row system addresses.
+/// `r * banks_per_rank + b`.
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
@@ -57,9 +52,7 @@ impl fmt::Display for RowAddr {
 /// Mitigation schemes index their tables with this id; use
 /// [`DramGeometry::flatten`](crate::DramGeometry::flatten) /
 /// [`DramGeometry::expand`](crate::DramGeometry::expand) to convert. In a
-/// multi-channel system each channel has its own independent id space;
-/// [`TopologyConfig::split`](crate::TopologyConfig::split) routes a
-/// system-wide row id to its `(channel, GlobalRowId)` pair.
+/// multi-channel system each channel has its own independent id space.
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]

@@ -66,11 +66,6 @@ impl BaselineConfig {
         self.channels = channels.max(1);
         self
     }
-
-    /// The full system topology (channels × ranks × banks × rows).
-    pub fn topology(&self) -> crate::TopologyConfig {
-        crate::TopologyConfig::new(self.channels, &self.geometry)
-    }
 }
 
 impl Default for BaselineConfig {

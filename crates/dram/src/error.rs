@@ -27,20 +27,6 @@ pub enum AddressError {
         /// Total rows in the module.
         rows: u64,
     },
-    /// Channel index exceeds the number of channels.
-    ChannelOutOfRange {
-        /// Offending channel index.
-        channel: u32,
-        /// Number of channels in the system.
-        channels: u32,
-    },
-    /// Rank index exceeds ranks per channel.
-    RankOutOfRange {
-        /// Offending rank index.
-        rank: u32,
-        /// Ranks per channel.
-        ranks: u32,
-    },
 }
 
 impl fmt::Display for AddressError {
@@ -59,18 +45,6 @@ impl fmt::Display for AddressError {
                 write!(
                     f,
                     "global row id {id} out of range (module has {rows} rows)"
-                )
-            }
-            AddressError::ChannelOutOfRange { channel, channels } => {
-                write!(
-                    f,
-                    "channel index {channel} out of range (system has {channels} channels)"
-                )
-            }
-            AddressError::RankOutOfRange { rank, ranks } => {
-                write!(
-                    f,
-                    "rank index {rank} out of range (channel has {ranks} ranks)"
                 )
             }
         }

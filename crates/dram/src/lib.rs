@@ -48,7 +48,6 @@ mod refresh;
 mod stats;
 mod time;
 mod timing;
-mod topology;
 
 pub use address::{BankId, GlobalRowId, RowAddr};
 pub use bank::{AccessResult, Bank, PagePolicy};
@@ -60,4 +59,3 @@ pub use refresh::RefreshScheduler;
 pub use stats::CommandStats;
 pub use time::{Duration, Time};
 pub use timing::DdrTiming;
-pub use topology::{DecodedRow, TopologyConfig};

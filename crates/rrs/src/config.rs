@@ -23,15 +23,23 @@ pub struct RrsConfig {
 }
 
 impl RrsConfig {
+    /// The lowest Rowhammer threshold [`RrsConfig::for_rowhammer_threshold`]
+    /// accepts: below it the swap threshold `t_rh / 6` is 0.
+    pub const MIN_T_RH: u64 = 6;
+
     /// The RRS design point for Rowhammer threshold `t_rh`: swap at
     /// `t_rh / 6`, RIT sized for the worst-case swap rate in one refresh
     /// window (~2.4 MB of SRAM at `t_rh` = 1K).
     ///
     /// # Panics
     ///
-    /// Panics if `t_rh < 6`.
+    /// Panics if `t_rh` is below [`RrsConfig::MIN_T_RH`].
     pub fn for_rowhammer_threshold(t_rh: u64, base: &BaselineConfig) -> Self {
-        assert!(t_rh >= 6, "RRS needs T_RH >= 6");
+        assert!(
+            t_rh >= Self::MIN_T_RH,
+            "RRS needs T_RH >= {}",
+            Self::MIN_T_RH
+        );
         let swap_threshold = t_rh / 6;
         // Worst-case swaps per refresh window: every bank can trigger one
         // swap per T_RRS activations out of its ACTmax budget. (RRS keeps
@@ -53,12 +61,6 @@ impl RrsConfig {
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the RIT pair capacity (storage/ablation studies).
-    pub fn with_rit_pairs(mut self, pairs: usize) -> Self {
-        self.rit_pairs = pairs;
         self
     }
 

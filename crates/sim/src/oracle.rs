@@ -39,7 +39,7 @@ pub struct OracleSummary {
 /// activation count of a row; a row whose bound exceeds `T_RH` is reported
 /// as vulnerable.
 ///
-/// Rows are counted in pages of [`PAGE_ROWS`] rows, allocated by the first
+/// Rows are counted in pages of `PAGE_ROWS` rows, allocated by the first
 /// activation that touches one (the row itself or a neighbour it disturbs).
 /// A page never touched reads as all zero, so construction and
 /// [`end_epoch`](Self::end_epoch) cost follows the touched rows, not the

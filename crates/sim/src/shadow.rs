@@ -27,7 +27,7 @@ const VACANT: u32 = u32::MAX;
 
 /// Tracks data placement across migrations and verifies translations.
 ///
-/// Placement is kept in pages of [`PAGE_ROWS`] physical rows. A page that
+/// Placement is kept in pages of `PAGE_ROWS` physical rows. A page that
 /// no vacancy or movement ever wrote holds identity placement, so it is
 /// not stored at all and verifying an access to it is one comparison.
 #[derive(Debug)]

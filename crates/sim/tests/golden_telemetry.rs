@@ -7,12 +7,12 @@
 //! AQUA, background RQA draining on refresh ticks, so spans come from
 //! every place the simulator and the engines record them: migrations and
 //! table writes, victim refreshes, throttles, and the speculative roots
-//! each of them materializes. The span JSONL, the full Chrome
-//! trace (events plus spans), the event JSONL and the summary must
-//! reproduce the recorded bytes exactly, as must `spans_recorded`. Any
-//! change to how the simulator records spans (ids, parent links, ring
-//! order, the speculative roots, the shard merge) therefore fails here
-//! unless it is byte-for-byte invisible.
+//! each of them materializes. The span JSONL, the full Chrome trace
+//! (events plus spans) and the summary must reproduce the recorded bytes
+//! exactly, as must `spans_recorded`. Any change to how the simulator
+//! records spans (ids, parent links, ring order, the speculative roots,
+//! the shard merge) therefore fails here unless it is byte-for-byte
+//! invisible.
 
 use aqua::{AquaConfig, AquaEngine};
 use aqua_baselines::{Blockhammer, BlockhammerConfig, VictimRefresh, VictimRefreshConfig};
@@ -21,7 +21,7 @@ use aqua_dram::BaselineConfig;
 use aqua_faults::FaultSpec;
 use aqua_rrs::{RrsConfig, RrsEngine};
 use aqua_sim::{ShardedSimulation, SimConfig};
-use aqua_telemetry::export::{write_chrome_trace_full, write_events_jsonl, write_spans_jsonl};
+use aqua_telemetry::export::{write_chrome_trace_full, write_spans_jsonl};
 use aqua_telemetry::{Telemetry, TelemetryConfig};
 use aqua_workload::attack::{Hammer, MigrationFlood};
 use aqua_workload::{AddressSpace, RequestGenerator};
@@ -54,9 +54,8 @@ impl Digest {
 struct Golden {
     spans_jsonl: Digest,
     chrome_trace: Digest,
-    events_jsonl: Digest,
-    /// Counters, gauges, histograms (span stats included) and ring
-    /// accounting of the summary; the host-time wallclock is left out.
+    /// Counters, histograms (span stats included) and ring accounting of
+    /// the summary; the host-time wallclock is left out.
     summary: Digest,
     spans_recorded: u64,
 }
@@ -124,8 +123,6 @@ fn golden_of(hub: &Telemetry) -> Golden {
     write_spans_jsonl(&mut spans_jsonl, &spans).unwrap();
     let mut chrome = Vec::new();
     write_chrome_trace_full(&mut chrome, &events, &spans).unwrap();
-    let mut events_jsonl = Vec::new();
-    write_events_jsonl(&mut events_jsonl, &events).unwrap();
     let summary = hub.summary().unwrap();
     // Every committed span lands in exactly one per-name duration
     // histogram, so their counts must add up to the spans recorded.
@@ -137,9 +134,8 @@ fn golden_of(hub: &Telemetry) -> Golden {
         .sum();
     assert_eq!(span_stats, summary.spans_recorded);
     let simulated = format!(
-        "{:?} {:?} {:?} {} {} {} {}",
+        "{:?} {:?} {} {} {} {}",
         summary.counters,
-        summary.gauges,
         summary.histograms,
         summary.events_recorded,
         summary.events_dropped,
@@ -149,7 +145,6 @@ fn golden_of(hub: &Telemetry) -> Golden {
     Golden {
         spans_jsonl: Digest::of(&spans_jsonl),
         chrome_trace: Digest::of(&chrome),
-        events_jsonl: Digest::of(&events_jsonl),
         summary: Digest::of(simulated.as_bytes()),
         spans_recorded: summary.spans_recorded,
     }
@@ -198,13 +193,9 @@ const AQUA_MAPPED: Golden = Golden {
         len: 21_195_820,
         fnv: 0x311d_1c3d_4035_0073,
     },
-    events_jsonl: Digest {
-        len: 4_533_359,
-        fnv: 0x0d81_7ba0_3fb6_7545,
-    },
     summary: Digest {
-        len: 3_100,
-        fnv: 0x9fed_4bec_b56c_5e75,
+        len: 3_097,
+        fnv: 0xf7bd_2a13_4689_4cc7,
     },
     spans_recorded: 133_608,
 };
@@ -218,13 +209,9 @@ const RRS: Golden = Golden {
         len: 15_180_275,
         fnv: 0x8ddd_85c8_5a8a_e4c5,
     },
-    events_jsonl: Digest {
-        len: 58_309,
-        fnv: 0x16f3_c3e8_40f0_7509,
-    },
     summary: Digest {
-        len: 1_566,
-        fnv: 0x710a_e366_2f20_4f11,
+        len: 1_563,
+        fnv: 0x73b2_d35f_e142_1dd3,
     },
     spans_recorded: 134_269,
 };
@@ -238,13 +225,9 @@ const VICTIM_REFRESH: Golden = Golden {
         len: 30_448_409,
         fnv: 0x0b1b_4655_a626_95c9,
     },
-    events_jsonl: Digest {
-        len: 2_185,
-        fnv: 0x4254_f9e9_e911_f2ab,
-    },
     summary: Digest {
-        len: 1_018,
-        fnv: 0x7e3e_55b8_4ea9_22c9,
+        len: 1_015,
+        fnv: 0xf4b2_0cc2_cfff_511b,
     },
     spans_recorded: 269_916,
 };
@@ -258,13 +241,9 @@ const BLOCKHAMMER: Golden = Golden {
         len: 1_016_376,
         fnv: 0xb267_cedb_3851_a2e1,
     },
-    events_jsonl: Digest {
-        len: 16_723,
-        fnv: 0xdb83_e4be_a47d_e03b,
-    },
     summary: Digest {
-        len: 1_065,
-        fnv: 0x2a19_79b6_94b5_eda0,
+        len: 1_062,
+        fnv: 0xf0fa_cb01_779f_ba7c,
     },
     spans_recorded: 8_984,
 };

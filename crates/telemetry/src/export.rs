@@ -96,26 +96,6 @@ pub fn write_spans_jsonl<W: Write>(w: &mut W, spans: &[Span]) -> io::Result<()> 
     Ok(())
 }
 
-/// Writes events as JSONL: one `{ts_ps, name, args}` object per line.
-pub fn write_events_jsonl<'a, W, I>(w: &mut W, events: I) -> io::Result<()>
-where
-    W: Write,
-    I: IntoIterator<Item = &'a Event>,
-{
-    for ev in events {
-        let mut name = String::new();
-        json::push_str(&mut name, ev.kind.name());
-        writeln!(
-            w,
-            "{{\"ts_ps\":{},\"name\":{},\"args\":{}}}",
-            ev.ts_ps,
-            name,
-            ev.kind.args_json()
-        )?;
-    }
-    Ok(())
-}
-
 /// Writes the epoch time series as JSONL: one record per epoch, with the
 /// scheme-specific gauges flattened into the same object.
 pub fn write_epochs_jsonl<W: Write>(w: &mut W, series: &EpochSeries) -> io::Result<()> {
@@ -266,17 +246,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"dur_ps\":1370000"), "{}", lines[0]);
         assert!(lines[1].contains("\"parent\":null"), "{}", lines[1]);
-    }
-
-    #[test]
-    fn events_jsonl_is_one_object_per_line() {
-        let mut out = Vec::new();
-        write_events_jsonl(&mut out, events().iter()).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        let lines: Vec<_> = s.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        assert!(lines[1].contains("\"EpochRollover\""));
     }
 
     #[test]

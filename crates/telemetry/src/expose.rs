@@ -272,11 +272,6 @@ impl MetricsPlane {
                 push_type(&mut out, &mut typed, &metric, "counter");
                 out.push_str(&format!("{metric}{label} {v}\n"));
             }
-            for (name, v) in &snap.summary.gauges {
-                let metric = format!("aqua_{}", sanitize(name));
-                push_type(&mut out, &mut typed, &metric, "gauge");
-                out.push_str(&format!("{metric}{label} {}\n", json::num(*v)));
-            }
             // Registered histograms render from full bucket data (exact
             // sums); folded span.* stats render from their summaries.
             for (name, data) in &snap.histogram_data {

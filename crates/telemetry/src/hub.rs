@@ -51,7 +51,6 @@ impl Default for TelemetryConfig {
 struct Inner {
     cfg: TelemetryConfig,
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<&'static str, Arc<Mutex<HistogramData>>>>,
     trace: Mutex<RingBuffer<Event>>,
     epochs: Mutex<EpochSeries>,
@@ -245,7 +244,6 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 cfg,
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 trace: Mutex::new(RingBuffer::new(cfg.trace_capacity)),
                 epochs: Mutex::new(EpochSeries::new()),
@@ -277,10 +275,10 @@ impl Telemetry {
 
     /// Absorbs everything `other` recorded into this hub.
     ///
-    /// Counters add, gauges take `other`'s value, histograms merge
-    /// bucket-wise, the epoch series appends `other`'s records after this
-    /// hub's own, and `other`'s retained trace events are replayed into this
-    /// hub's ring (events `other` already dropped stay counted as dropped).
+    /// Counters add, histograms merge bucket-wise, the epoch series appends
+    /// `other`'s records after this hub's own, and `other`'s retained trace
+    /// events are replayed into this hub's ring (events `other` already
+    /// dropped stay counted as dropped).
     /// Merging per-job hubs in job-index order therefore yields the same
     /// aggregate regardless of how the jobs were scheduled across threads.
     ///
@@ -315,10 +313,6 @@ impl Telemetry {
         }
         for (&name, c) in b.counters.lock().unwrap().iter() {
             self.counter(name).add(c.load(Ordering::Relaxed));
-        }
-        for (&name, g) in b.gauges.lock().unwrap().iter() {
-            self.gauge(name)
-                .set(f64::from_bits(g.load(Ordering::Relaxed)));
         }
         for (&name, h) in b.histograms.lock().unwrap().iter() {
             let data = h.lock().unwrap().clone();
@@ -378,19 +372,6 @@ impl Telemetry {
                     .unwrap()
                     .entry(name)
                     .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-            )
-        }))
-    }
-
-    /// Registers (or re-fetches) a named gauge.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|i| {
-            Arc::clone(
-                i.gauges
-                    .lock()
-                    .unwrap()
-                    .entry(name)
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
             )
         }))
     }
@@ -637,13 +618,6 @@ impl Telemetry {
             .iter()
             .map(|(n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
             .collect();
-        let gauges = i
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, g)| (n.to_string(), f64::from_bits(g.load(Ordering::Relaxed))))
-            .collect();
         // Span duration stats fold in as `span.<name>` histograms so every
         // consumer (reports, JSONL, the regression gate) reads one table.
         let mut hists: BTreeMap<String, crate::hist::HistogramSummary> = i
@@ -671,7 +645,6 @@ impl Telemetry {
         let trace = i.trace.lock().unwrap();
         Some(TelemetrySummary {
             counters,
-            gauges,
             histograms: hists.into_iter().collect(),
             events_recorded: trace.offered(),
             events_dropped: trace.dropped(),
@@ -723,28 +696,6 @@ impl Counter {
             .as_ref()
             .map(|c| c.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-}
-
-/// Last-value gauge handle (shared atomic `f64` bits when live).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// Overwrites the gauge value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if let Some(g) = &self.0 {
-            g.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 for detached handles).
-    pub fn get(&self) -> f64 {
-        self.0
-            .as_ref()
-            .map(|g| f64::from_bits(g.load(Ordering::Relaxed)))
-            .unwrap_or(0.0)
     }
 }
 
@@ -988,15 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_hold_last_value() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let g = t.gauge("g");
-        g.set(0.5);
-        g.set(0.75);
-        assert_eq!(g.get(), 0.75);
-    }
-
-    #[test]
     fn named_handles_share_state() {
         let t = Telemetry::new(TelemetryConfig::default());
         let a = t.counter("shared");
@@ -1029,7 +971,6 @@ mod tests {
 
         let parent = Telemetry::new(TelemetryConfig::default());
         parent.counter("c").add(3);
-        parent.gauge("g").set(0.25);
         parent.histogram("h").record(10);
         parent.push_epoch(EpochRecord {
             epoch: 0,
@@ -1041,7 +982,6 @@ mod tests {
         assert!(job.is_enabled());
         job.counter("c").add(4);
         job.counter("job_only").inc();
-        job.gauge("g").set(0.75);
         job.histogram("h").record(20);
         job.push_epoch(EpochRecord {
             epoch: 1,
@@ -1053,7 +993,6 @@ mod tests {
         let s = parent.summary().unwrap();
         assert_eq!(s.counter("c"), Some(7));
         assert_eq!(s.counter("job_only"), Some(1));
-        assert_eq!(s.gauge("g"), Some(0.75));
         let h = s.histogram("h").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 20);

@@ -3,9 +3,8 @@
 //! One crate provides every observability primitive the simulator layers
 //! share:
 //!
-//! * [`Counter`] / [`Gauge`] handles backed by a named registry inside
-//!   [`Telemetry`]: shared atomics on a live hub, inert handles on a
-//!   disabled one.
+//! * [`Counter`] handles backed by a named registry inside [`Telemetry`]:
+//!   shared atomics on a live hub, inert handles on a disabled one.
 //! * [`HistogramData`] — log-bucketed (power-of-two) latency histograms with
 //!   p50/p95/p99/max summaries, plus the [`Histogram`] recording handle.
 //! * [`RingBuffer`] + [`EventKind`] — a bounded event trace of typed
@@ -64,8 +63,7 @@ pub use epoch::{EpochRecord, EpochSeries};
 pub use event::{Event, EventKind};
 pub use hist::{HistogramData, HistogramSummary};
 pub use hub::{
-    ActiveSpan, Counter, Gauge, Histogram, PhaseGuard, SpanBatch, Speculation, Telemetry,
-    TelemetryConfig,
+    ActiveSpan, Counter, Histogram, PhaseGuard, SpanBatch, Speculation, Telemetry, TelemetryConfig,
 };
 pub use ring::RingBuffer;
 pub use span::Span;

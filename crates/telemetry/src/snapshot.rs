@@ -1,8 +1,8 @@
 //! Consistent in-run snapshots of a live telemetry hub.
 //!
 //! A [`Snapshot`] is a read-only, point-in-time view of everything a
-//! [`Telemetry`] hub has registered — counters, gauges, histograms
-//! (both condensed summaries and full bucket data), ring/epoch/span
+//! [`Telemetry`] hub has registered — counters, histograms (both
+//! condensed summaries and full bucket data), ring/epoch/span
 //! statistics, and the wallclock phase profile — plus per-counter deltas
 //! against the previous snapshot taken by the same [`SnapshotTracker`].
 //!
@@ -34,7 +34,7 @@ pub struct Snapshot {
     /// Monotone capture sequence number within one [`SnapshotTracker`]
     /// (the first capture is 1).
     pub seq: u64,
-    /// The condensed registry view: counters, gauges, histogram summaries
+    /// The condensed registry view: counters, histogram summaries
     /// (including folded `span.<name>` stats), ring/epoch/span statistics,
     /// and the wallclock profile.
     pub summary: TelemetrySummary,
@@ -67,11 +67,6 @@ impl Snapshot {
     /// Current value of a counter, or `None` if it is not registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.summary.counter(name)
-    }
-
-    /// Current value of a gauge, or `None` if it is not registered.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.summary.gauge(name)
     }
 
     /// Increase of a counter since the previous snapshot (0 when absent).

@@ -287,45 +287,6 @@ impl WallclockSummary {
             json::num(self.accesses_per_sec)
         )
     }
-
-    /// Renders the summary as one JSON object (embedded by
-    /// [`crate::TelemetrySummary::to_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"host_wallclock_ns\":{},\"accesses_simulated\":{},\"accesses_per_sec\":{},\
-             \"phases\":{{",
-            self.host_wallclock_ns,
-            self.accesses_simulated,
-            json::num(self.accesses_per_sec)
-        );
-        for (i, (name, s)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str(&mut out, name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"total_ns\":{},\"self_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                s.count,
-                s.total_ns,
-                s.self_ns(),
-                s.min_ns,
-                s.max_ns
-            ));
-        }
-        out.push_str("},\"paths\":{");
-        for (i, (path, s)) in self.paths.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str(&mut out, path);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"total_ns\":{}}}",
-                s.count, s.total_ns
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -517,14 +478,5 @@ mod tests {
             "{}",
             lines[3]
         );
-    }
-
-    #[test]
-    fn to_json_embeds_phases_and_paths() {
-        let j = WallclockSummary::from_profile(&sample_profile(), 2_000).to_json();
-        assert!(j.contains("\"host_wallclock_ns\":1000"), "{j}");
-        assert!(j.contains("\"sim.epoch\":{\"count\":2"), "{j}");
-        assert!(j.contains("\"sim.run;sim.epoch\":{\"count\":2"), "{j}");
-        assert!(j.starts_with('{') && j.ends_with('}'));
     }
 }

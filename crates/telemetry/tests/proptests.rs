@@ -1,7 +1,7 @@
 //! Property-based tests on the telemetry data structures.
 
 use aqua_telemetry::hist::BUCKET_COUNT;
-use aqua_telemetry::{HistogramData, RingBuffer, Span, WallProfile};
+use aqua_telemetry::{AlertEngine, HistogramData, RingBuffer, Span, WallProfile};
 use proptest::prelude::*;
 
 proptest! {
@@ -343,4 +343,29 @@ fn buckets_tile_u64_contiguously() {
         assert_eq!(hi + 1, next_lo, "gap between buckets {i} and {}", i + 1);
     }
     assert_eq!(HistogramData::bucket_bounds(BUCKET_COUNT - 1).1, u64::MAX);
+}
+
+/// The JSON-like alphabet the parser fuzz draws from: JSON punctuation,
+/// number pieces and keywords, a `\u` escape head, the alert grammar's
+/// comparisons, separator and call, and a non-ASCII char.
+const TOKENS: [&str; 31] = [
+    "{", "}", "[", "]", "\"", ":", ",", ".", "-", "+", "e", "E", "0", "1", "2", "3", "4", "5", "6",
+    "7", "8", "9", "true", "null", "\\u", ">", "<", ";", "delta(", ")", "é",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `AQUA_ALERT_RULES` is outside input: any spec parses to at most one
+    /// rule per `;`-separated entry, or to an error, and never panics.
+    #[test]
+    fn alert_rule_parsing_never_panics(
+        tokens in prop::collection::vec(0usize..TOKENS.len(), 0..48),
+    ) {
+        let spec: String = tokens.iter().map(|&i| TOKENS[i]).collect();
+        match AlertEngine::parse(&spec) {
+            Ok(rules) => prop_assert!(rules.len() <= spec.split(';').count(), "{spec:?}"),
+            Err(e) => prop_assert!(!e.is_empty(), "{spec:?}"),
+        }
+    }
 }

@@ -21,7 +21,7 @@
 //!   group gets hot, trading a small number of extra DRAM accesses for a much
 //!   smaller SRAM footprint (paper Appendix B).
 //! - [`CraTracker`] — CRA-style exact per-row counters in DRAM behind an SRAM
-//!   counter cache (reference [14] of the paper): never spurious, but every
+//!   counter cache (reference \[14\] of the paper): never spurious, but every
 //!   counter-cache miss is a DRAM access.
 //!
 //! All trackers share the [`AggressorTracker`] trait and the epoch-reset

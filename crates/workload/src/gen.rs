@@ -150,11 +150,6 @@ impl HotColdGenerator {
     pub fn hot_rows(&self) -> usize {
         self.hot_rows.len()
     }
-
-    /// Expected hot activations per epoch.
-    pub fn hot_activations(&self) -> u64 {
-        self.hot_total
-    }
 }
 
 impl RequestGenerator for HotColdGenerator {

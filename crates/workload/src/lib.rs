@@ -40,13 +40,11 @@ mod gen;
 mod mix;
 mod space;
 pub mod spec;
-mod trace;
 
 pub use gen::HotColdGenerator;
 pub use mix::{mix_table, MixWorkload};
 pub use space::AddressSpace;
 pub use spec::SpecWorkload;
-pub use trace::{RecordedTrace, TraceReplayer};
 
 use aqua_dram::{Duration, GlobalRowId};
 
